@@ -32,7 +32,7 @@ REPRO006   no float arithmetic assigned to exact integer quantities:
            :mod:`repro.units` converters) or use ``//``
 REPRO007   no ``os.environ`` / ``os.getenv`` reads of ``REPRO_*``
            escape hatches outside construction-time code: the
-           fastpath/blocks contract reads hatches once when the system
+           execution-mode contract reads them once when the system
            is built, so a mid-run read makes behaviour depend on when
            the environment mutates — a determinism bug.  The sanctioned
            construction-time readers carry suppression comments

@@ -248,7 +248,7 @@ def icache_miss(count: int = 1) -> tuple:
 #: Upper bound on ops per block.  Blocks are interpreted atomically
 #: between quantum-boundary checks only in the sense that no generator
 #: round trip happens inside one; the bound keeps a single materialized
-#: block (REPRO_BLOCKS=0) from ballooning memory.
+#: block (REPRO_FASTPATH=0) from ballooning memory.
 MAX_BLOCK_OPS = 4096
 
 #: Ops that suspend the thread or send a value back into the generator.
@@ -602,8 +602,8 @@ class OpBlock:
         """The plain per-op stream this block stands for, from ``start``.
 
         This *is* the block's semantics: every execution mode other than
-        the tight/closed-form interpreter (``REPRO_BLOCKS=0``, or a block
-        carrying DMA ops, or a mid-block yield spilling its remainder)
+        the tight/closed-form interpreter (``REPRO_FASTPATH=0``, or a
+        block carrying DMA ops, or a mid-block yield spilling its remainder)
         runs exactly these tuples through the ordinary dispatch arms.
         """
         ops = self.ops[start:] if start else self.ops
@@ -684,7 +684,7 @@ class OpPhase:
     ``k``.  That is the phase's entire meaning — yielding the phase op is
     exactly yielding those ``count x len(lanes)`` block replays one by
     one, and every execution mode other than the phase closed form
-    (``REPRO_PHASES=0``, a non-arith lane, a non-resident line, a
+    (``REPRO_FASTPATH=0``, a non-arith lane, a non-resident line, a
     foreign event inside the phase) runs precisely that spilled stream
     through the block interpreter.
 
@@ -909,7 +909,7 @@ class OpStream:
     stream op means exactly yielding :meth:`materialize`'s op tuples
     one by one; the processor's stream arm interprets the steps with
     bit-identical per-op semantics but no generator round trips, and
-    ``REPRO_STREAMS=0`` (or a mid-iteration suspension point) falls
+    ``REPRO_FASTPATH=0`` (or a mid-iteration suspension point) falls
     back to the materialized chunks.
     """
 
@@ -934,7 +934,7 @@ class OpStream:
         """The plain per-op DMA stream for iterations ``[start, stop)``.
 
         This *is* the stream's semantics: every execution mode other
-        than the stream arm (``REPRO_STREAMS=0``, or a resume after a
+        than the stream arm (``REPRO_FASTPATH=0``, or a resume after a
         mid-iteration quantum yield) runs exactly these tuples through
         the ordinary dispatch arms.  ``step0`` skips the first
         iteration's leading steps (a quantum yield spills the rest of

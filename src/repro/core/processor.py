@@ -27,12 +27,7 @@ from repro.core.sync import (
     TASK_POP_OVERHEAD_CYCLES,
 )
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import (
-    blocks_enabled,
-    fastpath_enabled,
-    phases_enabled,
-    streams_enabled,
-)
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.kernel import SimulationError
 from repro.units import ns_to_fs
 
@@ -43,7 +38,7 @@ if TYPE_CHECKING:
 ICACHE_MISS_PENALTY_NS = 12.0
 
 #: Iterations spilled per chunk when a phase cannot retire in closed
-#: form (escape hatch, non-arith lanes, slow path).  Bounds the pending
+#: form (reference mode, non-arith lanes, observers).  Bounds the pending
 #: list while keeping the re-dispatch overhead amortized.
 PHASE_SPILL_CHUNK = 64
 
@@ -64,8 +59,8 @@ PHASE_MIN_RETIRE = 4
 #: the block interpreter's own closed form keeps the spilled chunk fast.
 PHASE_SCHED_SPILL = 64
 
-#: Iterations a demoted stream (``REPRO_STREAMS=0``) materializes per
-#: chunk back into the plain per-op DMA stream.
+#: Iterations a stream materializes per chunk back into the plain per-op
+#: DMA stream in the reference mode (``REPRO_FASTPATH=0``).
 STREAM_SPILL_CHUNK = 64
 
 #: Block dispatches that skip the per-op inline L1 pre-probe after one
@@ -155,23 +150,14 @@ class Processor:
         engines = getattr(system.hierarchy, "dma_engines", None)
         if engines is not None:
             self._dma_engine = engines[core_id]
-        #: Run-until-miss fast path (see :mod:`repro.sim.fastpath`).
-        #: Read at construction so one system runs one mode throughout.
+        #: Execution mode (see :mod:`repro.sim.fastpath`), read at
+        #: construction so one system runs one mode throughout.  Off is
+        #: the reference mode: one event per quantum, and every block,
+        #: phase and stream materialized back into the plain per-op
+        #: stream.
         self._fastpath = fastpath_enabled()
-        #: Block interpreter switch (REPRO_BLOCKS); when off, every
-        #: OpBlock is materialized back into the plain per-op stream.
-        self._blocks = blocks_enabled()
-        #: Phase engine switch (REPRO_PHASES); when off, every OpPhase
-        #: is spilled back into per-iteration block replays.  The phase
-        #: closed form retires *block* iterations, so it additionally
-        #: requires the block interpreter to be on.
-        self._phases = phases_enabled() and self._blocks
-        #: Stream engine switch (REPRO_STREAMS); when off, every
-        #: OpStream is materialized back into the plain per-op DMA
-        #: stream in bounded chunks.
-        self._streams = streams_enabled()
-        #: Ops spilled from a block (materialized remainder after a
-        #: mid-block yield, or a whole block under REPRO_BLOCKS=0),
+        #: Ops spilled from a descriptor (materialized remainder after a
+        #: mid-block yield, or a whole block in the reference mode),
         #: consumed LIFO before the generator is consulted again.
         self._pending: list[tuple] = []
         #: Per-template cold verdicts: id(blk) -> dispatches left to
@@ -245,9 +231,10 @@ class Processor:
           of shared-resource acquisitions — the core just keeps running
           (run-until-miss/sync/boundary) with a renewed quantum.
 
-        ``REPRO_FASTPATH=0`` disables both, restoring the seed's
-        one-event-per-quantum execution; per-access side channels (trace
-        hooks, invariant observers) disable the inline-hit path alone.
+        ``REPRO_FASTPATH=0`` disables both, and every descriptor below,
+        restoring the seed's one-event-per-quantum execution; per-access
+        side channels (trace hooks, invariant observers) disable the
+        inline-hit path alone.
 
         * **Op blocks** (``"blk"``) are immutable templates the workload
           yields once per loop iteration (see :func:`repro.core.ops.block`).
@@ -258,7 +245,7 @@ class Processor:
           replayed via :func:`_limit_after_block`.  Otherwise the block
           runs through a tight per-op loop (no generator round trips),
           spilling its unexecuted remainder into ``self._pending`` if the
-          quantum expires mid-block.  ``REPRO_BLOCKS=0``, or any block
+          quantum expires mid-block.  The reference mode, or any block
           carrying DMA / prefetch / flush ops, materializes the block
           back into plain tuples handled by the arms above.
         * **Op phases** (``"ph"``) are the tier above blocks (see
@@ -271,7 +258,7 @@ class Processor:
           iteration shift, the renewal schedule via
           :func:`_limit_after_phase` — and spills back to per-block
           replays at the first non-resident iteration or ineligible
-          descriptor.  ``REPRO_PHASES=0`` spills every phase.
+          descriptor.  The reference mode spills every phase.
         """
         gen_send = self._gen.send
         cycle_fs = self.cycle_fs
@@ -284,9 +271,6 @@ class Processor:
         quantum_fs = self._quantum_fs
         fastpath = self._fastpath
         fast_mem = fastpath and hierarchy.fastpath_safe
-        blocks_on = self._blocks
-        phases_on = self._phases
-        streams_on = self._streams
         pending = self._pending
         verdicts = self._blk_verdicts
         # Per-op invariants hoisted to loop-locals: resolved once per
@@ -439,8 +423,7 @@ class Processor:
                     # are slice-invariant, so an ineligible phase spills
                     # a bounded chunk of iterations and leaves a cursor
                     # rather than re-proving ineligibility per iteration.
-                    eligible = (phases_on and fast_mem
-                                and iter_cycles is not None
+                    eligible = (fast_mem and iter_cycles is not None
                                 and not (ph.align_or & line_mask))
                     if eligible and ph.has_local:
                         eligible = (local_store is not None
@@ -908,10 +891,10 @@ class Processor:
                         si = 0
                         stream_total += st.count
                     count = st.count
-                    if not streams_on:
-                        # Escape hatch: materialize a bounded chunk back
-                        # into the plain per-op DMA stream, handled by
-                        # the ordinary dispatch arms.
+                    if not fastpath:
+                        # Reference mode: materialize a bounded chunk
+                        # back into the plain per-op DMA stream, handled
+                        # by the ordinary dispatch arms.
                         k_hi = k + STREAM_SPILL_CHUNK
                         if k_hi < count:
                             pending.append(("strm", st, k_hi, 0))
@@ -966,11 +949,10 @@ class Processor:
                                 if done > previous:
                                     dma_tags[tag] = done
                                 if now >= limit:
-                                    if fastpath:
-                                        next_fs = peek_time()
-                                        if next_fs is None or next_fs > now:
-                                            limit = now + quantum_fs
-                                            continue
+                                    next_fs = peek_time()
+                                    if next_fs is None or next_fs > now:
+                                        limit = now + quantum_fs
+                                        continue
                                     part = [(skind, tag, a, n, 0, None)
                                             for a, n in cmds[ci:]]
                                     break
@@ -988,12 +970,9 @@ class Processor:
                                 sync += done - now
                                 now = done
                             if now >= limit:
-                                if fastpath:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                    else:
-                                        part = []
+                                next_fs = peek_time()
+                                if next_fs is None or next_fs > now:
+                                    limit = now + quantum_fs
                                 else:
                                     part = []
                         elif skind == "lsst":
@@ -1010,12 +989,9 @@ class Processor:
                             instructions += accesses
                             local_accesses += accesses
                             if now >= limit:
-                                if fastpath:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                    else:
-                                        part = []
+                                next_fs = peek_time()
+                                if next_fs is None or next_fs > now:
+                                    limit = now + quantum_fs
                                 else:
                                     part = []
                         else:  # blk: kernel detour through the block arm
@@ -1043,10 +1019,10 @@ class Processor:
                     # recorded op index (skipping the closed form, whose
                     # geometry covers only whole blocks).
                     start = op[3] if len(op) == 4 else 0
-                    if not blocks_on or blk.arith_cycles is None:
-                        # Escape hatch, or a block carrying DMA / prefetch
-                        # / flush ops: run the plain per-op stream through
-                        # the ordinary dispatch arms above.
+                    if not fastpath or blk.arith_cycles is None:
+                        # Reference mode, or a block carrying DMA /
+                        # prefetch / flush ops: run the plain per-op
+                        # stream through the ordinary dispatch arms above.
                         pending.extend(reversed(blk.materialize(delta)))
                         continue
                     # Per-template verdict (see BLK_COLD_SKIP): positive =
@@ -1255,11 +1231,10 @@ class Processor:
                             instructions += accesses
                             local_accesses += accesses
                         if now >= limit:
-                            if fastpath:
-                                next_fs = peek_time()
-                                if next_fs is None or next_fs > now:
-                                    limit = now + quantum_fs
-                                    continue
+                            next_fs = peek_time()
+                            if next_fs is None or next_fs > now:
+                                limit = now + quantum_fs
+                                continue
                             if index < n_ops:
                                 pending.append(("blk", blk, delta, index))
                             yielded = True

@@ -25,7 +25,7 @@ from collections.abc import Iterable
 
 from repro.config import StreamConfig
 from repro.mem.coherence import MesiState
-from repro.sim.fastpath import streams_enabled
+from repro.sim.fastpath import fastpath_enabled
 from repro.sim.resources import _MAX_INTERVALS, _TRIM_AT
 
 
@@ -191,15 +191,15 @@ class DmaEngine:
         self.commands = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        #: Stream-engine switch (REPRO_STREAMS), read at construction like
-        #: the processor's fast-path flags: when on, contiguous
-        #: line-aligned commands whose lines are all L2-resident are
-        #: served by a fused renewal loop (:meth:`_fast_get` /
-        #: :meth:`_fast_put`) instead of four resource method calls per
-        #: granule.  The fused loop replays the exact calendar, counter,
-        #: and LRU transitions of the ordinary path, granule for granule,
-        #: and bails to it at the first line that is not a guaranteed hit.
-        self._fast = streams_enabled()
+        #: Execution mode (REPRO_FASTPATH), read at construction like the
+        #: processor's: when on, contiguous line-aligned commands whose
+        #: lines are all L2-resident are served by a fused renewal loop
+        #: (:meth:`_fast_get` / :meth:`_fast_put`) instead of four
+        #: resource method calls per granule.  The fused loop replays the
+        #: exact calendar, counter, and LRU transitions of the ordinary
+        #: path, granule for granule, and bails to it at the first line
+        #: that is not a guaranteed hit.
+        self._fast = fastpath_enabled()
         #: Resource chains for all-hit line commands (get: crossbar-up
         #: control, L2 bank, crossbar-down transfer, bus response; put:
         #: bus request, crossbar-up transfer, L2 bank), resolved lazily
@@ -254,7 +254,7 @@ class DmaEngine:
         return start_fs
 
     # ------------------------------------------------------------------
-    # Fused all-L2-hit command path (REPRO_STREAMS)
+    # Fused all-L2-hit command path (off in the REPRO_FASTPATH=0 mode)
     # ------------------------------------------------------------------
     #
     # The granule loops in get/put spend nearly all their time in four

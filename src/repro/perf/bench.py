@@ -5,9 +5,8 @@ this one measures the *simulator*, so the run-until-miss fast path
 (:mod:`repro.sim.fastpath`) and the event-kernel micro-optimizations
 stay fast as the codebase grows.  ``python -m repro perf bench`` times a
 fixed set of workload/model/core-count cases twice per case — once with
-every acceleration hatch enabled (``REPRO_FASTPATH``, ``REPRO_BLOCKS``,
-``REPRO_PHASES``, ``REPRO_STREAMS`` all ``1``) and once with all of them
-disabled — and writes a ``BENCH_<rev>.json`` report with, per case:
+``REPRO_FASTPATH=1`` (every engine on) and once in the ``REPRO_FASTPATH=0``
+reference mode — and writes a ``BENCH_<rev>.json`` report with, per case:
 
 * best-of-N wall time in both modes and the fast/slow **speedup**
   (median of the per-repeat slow/fast ratios, each pairing two
@@ -48,13 +47,11 @@ from dataclasses import asdict, dataclass
 #: Report schema version (bump when the JSON layout changes).
 SCHEMA = 3
 
-#: Every acceleration hatch the simulator reads at construction time.
-#: The bench pins ALL of them — fast leg all-on, slow leg all-off — so
-#: an ambient ``REPRO_BLOCKS=0`` or ``REPRO_PHASES=0`` in the caller's
-#: environment cannot silently cripple the fast leg and corrupt the
-#: speedup gate.
-_HATCH_VARS = ("REPRO_FASTPATH", "REPRO_BLOCKS", "REPRO_PHASES",
-               "REPRO_STREAMS")
+#: The simulator's execution-mode switch (:mod:`repro.sim.fastpath`).
+#: The bench pins it both ways — fast leg ``1``, slow leg ``0`` — so an
+#: ambient ``REPRO_FASTPATH=0`` in the caller's environment cannot
+#: silently cripple the fast leg and corrupt the speedup gate.
+_MODE_VAR = "REPRO_FASTPATH"
 
 #: Baseline speedups below this are inside host timing noise (the case is
 #: miss-path bound, so the fast path barely moves its wall time); gating
@@ -63,7 +60,7 @@ _HATCH_VARS = ("REPRO_FASTPATH", "REPRO_BLOCKS", "REPRO_PHASES",
 #: inflates events by orders of magnitude, noise-free.
 SPEEDUP_GATE_MIN = 1.25
 
-#: No case may come in below this fast/slow ratio: a hatch whose
+#: No case may come in below this fast/slow ratio: an engine whose
 #: bookkeeping costs more than it saves on some case is a net loss and
 #: must gain a cheaper ineligibility exit, not ride along.  Set under
 #: 1.0 only to absorb host timing noise on ratio-~1.0 cases.
@@ -119,21 +116,19 @@ def current_rev(default: str = "local") -> str:
 
 
 def _run_case(case: BenchCase, preset: str, fastpath: bool):
-    """One simulation of ``case`` with every hatch forced on or off."""
+    """One simulation of ``case`` with the execution-mode switch pinned."""
     from repro import run_workload
 
-    saved = {var: os.environ.get(var) for var in _HATCH_VARS}
-    for var in _HATCH_VARS:
-        os.environ[var] = "1" if fastpath else "0"
+    saved = os.environ.get(_MODE_VAR)
+    os.environ[_MODE_VAR] = "1" if fastpath else "0"
     try:
         return run_workload(case.workload, model=case.model,
                             cores=case.cores, preset=preset)
     finally:
-        for var, value in saved.items():
-            if value is None:
-                del os.environ[var]
-            else:
-                os.environ[var] = value
+        if saved is None:
+            del os.environ[_MODE_VAR]
+        else:
+            os.environ[_MODE_VAR] = saved
 
 
 def _timed(case: BenchCase, preset: str, fastpath: bool):
@@ -262,7 +257,7 @@ def compare_reports(current: dict, baseline: dict,
       a noisy host).
 
     Additionally every *current* case (baseline or new) must clear the
-    absolute :data:`SPEEDUP_NET_LOSS_FLOOR`: the hatches together may
+    absolute :data:`SPEEDUP_NET_LOSS_FLOOR`: the fast-mode engines may
     never make a case slower than the plain interpreter.  The floor
     only applies when the current report was taken with at least three
     repeats — per-case speedup is the median of per-repeat ratios, and

@@ -1,4 +1,4 @@
-"""The run-until-miss fast-path switch.
+"""The execution-mode switch: the fast path and its engines, or the reference.
 
 The processor's hot loop (see :mod:`repro.core.processor`) can execute
 consecutive compute operations and guaranteed-L1-hit accesses without
@@ -13,66 +13,39 @@ construction" is a claim worth distrusting, the escape hatch
 
 forces the original one-event-per-quantum execution, and the invariance
 tests in ``tests/test_fastpath.py`` diff full result rows across both
-modes.  Only ``stats["sim.events"]`` may differ (that is the point).
+modes.
 
-The block interpreter (PR 5) has the same shape: workloads may yield
-:class:`repro.core.ops.OpBlock` templates that the processor replays in
-a tight inner loop — or, when every touched line is a guaranteed hit and
-the event-queue head lies beyond the block, retires in closed form.  Its
-escape hatch is
+The same switch gates every descriptor engine layered on top:
 
-    REPRO_BLOCKS=0 python -m repro ...
+* the block interpreter — :class:`repro.core.ops.OpBlock` templates
+  replayed in a tight inner loop, or retired in closed form when every
+  touched line is a guaranteed hit and the event-queue head lies beyond
+  the block;
+* the phase engine — :class:`repro.core.ops.OpPhase` runs of K block
+  iterations at a constant address stride, retired in one vectorized
+  step while every touched line stays a guaranteed hit;
+* the stream engine — :class:`repro.core.ops.OpStream` DMA
+  double-buffer loops interpreted step by step without generator round
+  trips, with all-L2-hit DMA commands served by a fused renewal loop
+  over the resource calendars.
 
-which makes the processor materialize every block back into the plain
-per-op stream, exercising the original dispatch arms unchanged.
+So there are exactly two modes to keep identical.  With the switch on
+(the default) every engine runs; ``REPRO_FASTPATH=0`` is the reference
+mode — one event per quantum, every block, phase and stream
+materialized back into the plain per-op stream, every DMA granule
+walked through the ordinary resource methods — which is the seed's
+execution model, byte for byte.  Every result field except
+``stats["sim.*"]`` diagnostics must match across the two.
 
-The phase engine (PR 8) is the tier above blocks: workloads may yield
-:class:`repro.core.ops.OpPhase` descriptors — a run of K block
-iterations at a constant address stride — that the processor retires in
-one vectorized step when every touched line stays a guaranteed hit
-(counters as ``K x per_iteration`` sums, LRU/stored state via the block
-geometry arithmetic, the quantum-renewal schedule as a prefix-sum
-closed form over the iteration axis).  Its escape hatch is
-
-    REPRO_PHASES=0 python -m repro ...
-
-which makes the processor spill every phase back into per-iteration
-block replays, exercising the block interpreter unchanged.
-
-The stream engine (PR 10) is the streaming-model counterpart of the
-phase engine: workloads may yield :class:`repro.core.ops.OpStream`
-descriptors — the canonical DMA double-buffer loop (dget next tile /
-dwait / compute kernel / dput previous tile) unrolled to a fixed
-per-iteration step list at constant address strides — that the
-processor's stream arm retires iteration by iteration without generator
-round trips, and the DMA engine serves all-L2-hit line commands through
-a fused renewal loop (one arithmetic pass over the resource calendars
-instead of four method calls per granule).  Its escape hatch is
-
-    REPRO_STREAMS=0 python -m repro ...
-
-which makes the processor materialize every stream back into the plain
-per-op DMA stream and the DMA engine walk every granule through the
-ordinary resource methods.
-
-The four hatches compose into a sixteen-mode identity matrix (streams x
-phases x blocks x fastpath), every cell bit-identical except
-``stats["sim.*"]`` diagnostics: the phase closed form additionally
-requires ``REPRO_BLOCKS`` on (phases retire *block* iterations, so
-disabling blocks demotes phases to spill too), and ``REPRO_FASTPATH=0
-REPRO_BLOCKS=0 REPRO_PHASES=0 REPRO_STREAMS=0`` is the seed's execution
-model, byte for byte.
-
-All flags are read when a system is constructed, not at import time, so
-tests can toggle them per-run with ``monkeypatch.setenv``.
+The flag is read when a system is constructed, not at import time, so
+tests can toggle it per-run with ``monkeypatch.setenv``.
 """
 
 from __future__ import annotations
 
 import os
 
-#: Values of ``REPRO_FASTPATH`` / ``REPRO_BLOCKS`` / ``REPRO_PHASES``
-#: that disable the corresponding path.
+#: Values of ``REPRO_FASTPATH`` that select the reference mode.
 _OFF_VALUES = frozenset({"0", "false", "off", "no"})
 
 
@@ -83,20 +56,3 @@ def fastpath_enabled() -> bool:
     raw = os.environ.get("REPRO_FASTPATH", "1")  # repro-lint: disable=REPRO007
     return raw.strip().lower() not in _OFF_VALUES
 
-
-def blocks_enabled() -> bool:
-    """True unless ``REPRO_BLOCKS`` is set to 0/false/off/no."""
-    raw = os.environ.get("REPRO_BLOCKS", "1")  # repro-lint: disable=REPRO007
-    return raw.strip().lower() not in _OFF_VALUES
-
-
-def phases_enabled() -> bool:
-    """True unless ``REPRO_PHASES`` is set to 0/false/off/no."""
-    raw = os.environ.get("REPRO_PHASES", "1")  # repro-lint: disable=REPRO007
-    return raw.strip().lower() not in _OFF_VALUES
-
-
-def streams_enabled() -> bool:
-    """True unless ``REPRO_STREAMS`` is set to 0/false/off/no."""
-    raw = os.environ.get("REPRO_STREAMS", "1")  # repro-lint: disable=REPRO007
-    return raw.strip().lower() not in _OFF_VALUES

@@ -5,18 +5,20 @@ An :class:`~repro.core.ops.OpBlock` is a promise that yielding
 plain op tuples one by one with every memory address shifted by
 ``delta``.  The block interpreter (tight loop and closed form) is an
 optimization over that meaning, so these tests pin both sides: the
-template/validation API, and full-record bit-identity across every
-combination of ``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with
-``stats["sim.events"]`` as the single permitted difference, same as the
+template/validation API, and full-record bit-identity against the
+``REPRO_FASTPATH=0`` reference mode, which materializes every block —
+with ``stats["sim.*"]`` as the single permitted difference, same as the
 fast-path contract.
 """
 
 import pytest
 
+from perfbench.common import HATCH_VARS
 from repro import run_workload
 from repro.config import MachineConfig
 from repro.core.ops import (
     MAX_BLOCK_OPS,
+    OpBlock,
     barrier_wait,
     block,
     compute,
@@ -31,8 +33,8 @@ from repro.core.ops import (
 from repro.core.system import CmpSystem
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
-from repro.sim.fastpath import blocks_enabled
 from repro.workloads.base import Program
+from tests.conftest import comparable, set_switches, switch_modes
 
 
 def run_threads(*threads, model="cc", **cfg_kwargs):
@@ -41,32 +43,46 @@ def run_threads(*threads, model="cc", **cfg_kwargs):
     return system.run()
 
 
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics.
-
-    ``sim.events`` and the phase engine's ``sim.phase_iters`` are
-    mode-dependent by design; everything else must be bit-identical.
-    """
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
-
-
 class TestFlag:
+    """The block engine follows ``REPRO_FASTPATH`` and nothing else.
+
+    Reference mode materializes every block into plain ops; the engine
+    interprets it without.  Every retired switch is set against the
+    expected outcome, so it cannot be what selects the mode.
+    """
+
+    BLOCKS = 4
+
+    def materialized(self, monkeypatch):
+        calls = []
+        original = OpBlock.materialize
+
+        def spy(blk, *args):
+            calls.append(blk)
+            return original(blk, *args)
+
+        def thread(env):
+            blk = block(compute(5), load(0x100, 32), store(0x100, 32))
+            for _ in range(self.BLOCKS):
+                yield blk.at(0)
+
+        monkeypatch.setattr(OpBlock, "materialize", spy)
+        run_threads(thread)
+        return len(calls)
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCKS", raising=False)
-        assert blocks_enabled()
+        set_switches(monkeypatch, None, "0")
+        assert self.materialized(monkeypatch) == 0
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BLOCKS", value)
-        assert not blocks_enabled()
+        set_switches(monkeypatch, value, "1")
+        assert self.materialized(monkeypatch) == self.BLOCKS
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
     def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BLOCKS", value)
-        assert blocks_enabled()
+        set_switches(monkeypatch, value, "0")
+        assert self.materialized(monkeypatch) == 0
 
 
 class TestValidation:
@@ -151,7 +167,7 @@ class TestReplayIdentity:
             yield from blk.materialize(i * self.STRIDE)
 
     def test_offset_stepping_matches_unrolled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCKS", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         blocked = run_threads(self.blocked_thread)
         plain = run_threads(self.unrolled_thread)
         assert comparable(blocked) == comparable(plain)
@@ -161,16 +177,16 @@ class TestReplayIdentity:
     def test_straddling_a_miss_matches_escape_hatch(self, monkeypatch):
         # Iteration 0 runs cold (every line misses -> per-op fallback);
         # later iterations rerun the same lines warm (closed form).  Both
-        # paths must agree bit-for-bit with the escape-hatch interpreter.
+        # paths must agree bit-for-bit with the reference interpreter.
         def thread(env):
             blk = block(compute(20), load(0x1000, 64), compute(10),
                         store(0x1000, 64))
             for _ in range(8):
                 yield blk.at(0)
 
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(thread)
-        monkeypatch.setenv("REPRO_BLOCKS", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(thread)
         assert comparable(on) == comparable(off)
 
@@ -184,26 +200,21 @@ class TestReplayIdentity:
             for i in range(6):
                 yield blk.at(i * 256)
 
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(thread, model="str")
-        monkeypatch.setenv("REPRO_BLOCKS", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(thread, model="str")
         assert comparable(on) == comparable(off)
 
 
 class TestFourModeIdentity:
-    """blocks x fastpath: all four interpreters, one answer."""
+    """``REPRO_FASTPATH`` x the retired block switch: four modes, one answer.
 
-    MODES = [(blocks, fastpath)
-             for blocks in ("1", "0") for fastpath in ("1", "0")]
+    The retired switch is ignored, so the four modes are the two of the
+    fast-path contract, each set twice.
+    """
 
-    def run_modes(self, monkeypatch, **kwargs):
-        records = []
-        for blocks, fastpath in self.MODES:
-            monkeypatch.setenv("REPRO_BLOCKS", blocks)
-            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-            records.append(comparable(run_workload(preset="tiny", **kwargs)))
-        return records
+    SWITCHES = HATCH_VARS[:2]
 
     @pytest.mark.parametrize("workload,model,cores", [
         ("fir", "cc", 1),
@@ -215,26 +226,21 @@ class TestFourModeIdentity:
     ])
     def test_full_record_identical_in_all_modes(self, monkeypatch, workload,
                                                 model, cores):
-        records = self.run_modes(monkeypatch, name=workload, model=model,
-                                 cores=cores)
+        records = [comparable(run_workload(workload, model=model,
+                                           cores=cores, preset="tiny"))
+                   for _ in switch_modes(monkeypatch, self.SWITCHES)]
         assert all(r == records[0] for r in records[1:])
 
-    def rows_in_mode(self, monkeypatch, blocks, build):
-        monkeypatch.setenv("REPRO_BLOCKS", blocks)
-        return build(Runner(preset="tiny")).rows
+    def rows_in_all_modes(self, monkeypatch, build):
+        return [build(Runner(preset="tiny")).rows
+                for _ in switch_modes(monkeypatch, self.SWITCHES)]
 
     def test_figure2_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure2(runner, workloads=["fir"], core_counts=(1, 4))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
-        assert on == off
+        rows = self.rows_in_all_modes(monkeypatch, lambda runner: figure2(
+            runner, workloads=["fir"], core_counts=(1, 4)))
+        assert all(r == rows[0] for r in rows[1:])
 
     def test_figure5_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure5(runner, workloads=["bitonic"], clocks=(0.8,))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
-        assert on == off
+        rows = self.rows_in_all_modes(monkeypatch, lambda runner: figure5(
+            runner, workloads=["bitonic"], clocks=(0.8,)))
+        assert all(r == rows[0] for r in rows[1:])

@@ -1,33 +1,32 @@
-"""Run-until-miss fast path: bit-identical to slow mode, and faster.
+"""The execution-mode switch: fast mode bit-identical to the reference.
 
-The fast path (:mod:`repro.sim.fastpath`) elides the core's own
-back-to-back resume events and retires guaranteed-L1-hits inline.  Its
-contract is that *every* measured quantity — timestamps, stall
-breakdowns, traffic, energy, stat counters — is bit-identical to the
-event-per-quantum slow path, with ``stats["sim.events"]`` as the single
-permitted (and intended) difference.  These tests diff full result
-records and whole experiment tables across both modes.
+``REPRO_FASTPATH`` (:mod:`repro.sim.fastpath`) is the simulator's one
+execution-mode switch.  On, every speed engine runs: the run-until-miss
+fast path elides the core's own back-to-back resume events and retires
+guaranteed-L1-hits inline, and the block, phase and stream engines
+retire their descriptors without generator round trips.  ``0`` is the
+reference mode — one event per quantum, every descriptor materialized
+into plain ops.  The contract is that *every* measured quantity —
+timestamps, stall breakdowns, traffic, energy, stat counters — is
+bit-identical across the two, with the ``stats["sim.*"]`` diagnostics
+as the single permitted (and intended) difference.  These tests diff
+full result records and whole experiment tables across both modes.
 """
 
 import pytest
 
+from perfbench.common import HATCH_VARS
 from repro import run_workload
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.sim.fastpath import fastpath_enabled
+from repro.workloads import workload_names
+from tests.conftest import comparable
 
 
 def result_in_mode(monkeypatch, fastpath: bool, **kwargs):
     monkeypatch.setenv("REPRO_FASTPATH", "1" if fastpath else "0")
     return run_workload(preset="tiny", **kwargs)
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 class TestFlag:
@@ -47,12 +46,13 @@ class TestFlag:
 
 
 class TestBitIdentical:
+    """Every shipped workload x model x {1, 4} cores, fast vs reference."""
+
     @pytest.mark.parametrize("workload,model,cores", [
-        ("fir", "cc", 1),
-        ("fir", "str", 1),
-        ("fir", "cc", 4),
-        ("bitonic", "cc", 4),
-        ("merge", "str", 4),
+        (workload, model, cores)
+        for workload in workload_names()
+        for model in ("cc", "str")
+        for cores in (1, 4)
     ])
     def test_full_record_matches_slow_mode(self, monkeypatch, workload,
                                            model, cores):
@@ -70,6 +70,38 @@ class TestBitIdentical:
         slow = result_in_mode(monkeypatch, False, name="fir", model="cc",
                               cores=4, prefetch=True)
         assert comparable(fast) == comparable(slow)
+
+
+class TestReferenceMode:
+    """``REPRO_FASTPATH`` alone selects the mode of every engine.
+
+    The benchmark's reference child still exports the per-engine
+    switches ``REPRO_FASTPATH`` replaced (``HATCH_VARS``): they must be
+    neither needed to select the reference mode nor able to demote an
+    engine on their own.
+    """
+
+    @pytest.mark.parametrize("switches", [("REPRO_FASTPATH",), HATCH_VARS],
+                             ids=["alone", "benchmark"])
+    def test_fastpath_off_materializes_streams(self, monkeypatch, switches):
+        for var in switches:
+            monkeypatch.setenv(var, "0")
+        result = run_workload("bitonic", model="str", cores=1,
+                              preset="tiny")
+        assert result.stats["sim.stream_iters_total"] > 0
+        assert result.stats["sim.stream_iters"] == 0
+
+    @pytest.mark.parametrize("model,counter", [
+        ("cc", "sim.phase_iters"),
+        ("str", "sim.stream_iters"),
+    ])
+    def test_other_switches_are_ignored(self, monkeypatch, model, counter):
+        for var in HATCH_VARS:
+            monkeypatch.setenv(var, "0")
+        monkeypatch.delenv("REPRO_FASTPATH")
+        result = run_workload("bitonic", model=model, cores=1,
+                              preset="tiny")
+        assert result.stats[counter] > 0
 
 
 class TestEventElision:

@@ -6,15 +6,17 @@ block replays one by one (iteration-major, lane-minor).  The phase arm
 in :mod:`repro.core.processor` — closed-form retirement of whole
 resident iterations — is an optimization over that meaning, so these
 tests pin both sides: the ``phase()`` / ``phase_runs()`` API, and
-full-record bit-identity across every combination of ``REPRO_PHASES``,
-``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with ``stats["sim.*"]`` as
-the single permitted difference, same as the fast-path contract.
+full-record bit-identity against the ``REPRO_FASTPATH=0`` reference
+mode, which spills every phase into materialized block replays — with
+``stats["sim.*"]`` as the single permitted difference, same as the
+fast-path contract.
 """
 
 import random
 
 import pytest
 
+from perfbench.common import HATCH_VARS
 from repro import run_workload
 from repro.config import MachineConfig
 from repro.core.ops import (
@@ -31,8 +33,8 @@ from repro.core.ops import (
 from repro.core.system import CmpSystem
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
-from repro.sim.fastpath import phases_enabled
 from repro.workloads.base import Program
+from tests.conftest import comparable, set_switches, switch_modes
 
 LINE = 32  # MachineConfig default L1 line size
 
@@ -45,31 +47,38 @@ def run_threads(*threads, model="cc", observer=None, **cfg_kwargs):
     return system.run()
 
 
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
+BLK = block(compute(5), load(0x100, LINE), store(0x100, LINE))
 
 
 class TestFlag:
+    """The phase engine follows ``REPRO_FASTPATH`` and nothing else.
+
+    Reference mode spills every phase into block replays, so none of
+    its iterations retire at the phase level.  Every retired switch is
+    set against the expected outcome, so it cannot select the mode.
+    """
+
+    def retired(self):
+        def thread(env):
+            # The first dispatch warms the lines; the rest are resident.
+            for _ in range(3):
+                yield phase((BLK, 0, LINE), count=16).op()
+
+        return run_threads(thread).stats["sim.phase_iters"]
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PHASES", raising=False)
-        assert phases_enabled()
+        set_switches(monkeypatch, None, "0")
+        assert self.retired() > 0
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PHASES", value)
-        assert not phases_enabled()
+        set_switches(monkeypatch, value, "1")
+        assert self.retired() == 0
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
     def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PHASES", value)
-        assert phases_enabled()
-
-
-BLK = block(compute(5), load(0x100, LINE), store(0x100, LINE))
+        set_switches(monkeypatch, value, "0")
+        assert self.retired() > 0
 
 
 class TestValidation:
@@ -254,7 +263,7 @@ class TestReplayIdentity:
         return phased, per_block, materialized
 
     def test_three_ways_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PHASES", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         phased, per_block, materialized = self.make_threads()
         records = [comparable(run_threads(t))
                    for t in (phased, per_block, materialized)]
@@ -264,7 +273,7 @@ class TestReplayIdentity:
         # Property test: random eligible single-lane phases (the shape
         # phase_runs mints) replayed as descriptors, as block streams,
         # and fully materialized must agree bit for bit.
-        monkeypatch.delenv("REPRO_PHASES", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         rng = random.Random(1234)
         specs = []
         for _ in range(10):
@@ -313,14 +322,9 @@ class TestReplayIdentity:
             yield phase((blk, 0, LINE), count=200).op()
             yield phase((blk, 0, LINE), count=200).op()
 
-        # Force the whole stack on for the retiring side: phases demote
-        # when blocks or the fast path are off (e.g. in the CI slow-path
-        # smoke, which exports all three hatches).
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
         on = run_threads(thread)
-        monkeypatch.setenv("REPRO_PHASES", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(thread)
         assert comparable(on) == comparable(off)
         assert on.stats["sim.phase_iters"] > 0
@@ -336,9 +340,9 @@ class TestReplayIdentity:
                         compute(50))
             yield phase((blk, 0, 256), count=6).op()
 
-        monkeypatch.setenv("REPRO_PHASES", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(thread, model="str")
-        monkeypatch.setenv("REPRO_PHASES", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(thread, model="str")
         assert comparable(on) == comparable(off)
         assert on.stats["sim.phase_iters"] == 0
@@ -348,8 +352,6 @@ class TestReplayIdentity:
         # phases must spill (retiring in closed form would skip the
         # observer's callbacks) while the record stays identical.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
         phased, _, _ = self.make_threads()
         seen = []
 
@@ -365,12 +367,11 @@ class TestReplayIdentity:
 
 
 class TestEightModeIdentity:
-    """phases x blocks x fastpath: all eight interpreters, one answer."""
+    """``REPRO_FASTPATH`` x the retired block and phase switches.
 
-    MODES = [(phases, blocks, fastpath)
-             for phases in ("1", "0")
-             for blocks in ("1", "0")
-             for fastpath in ("1", "0")]
+    Eight modes, one answer: the retired switches are ignored, so the
+    eight are the two of the fast-path contract, each set four times.
+    """
 
     @pytest.mark.parametrize("workload,model,cores", [
         ("bitonic", "cc", 4),
@@ -379,23 +380,16 @@ class TestEightModeIdentity:
     ])
     def test_full_record_identical_in_all_modes(self, monkeypatch, workload,
                                                 model, cores):
-        records = []
-        for phases, blocks, fastpath in self.MODES:
-            monkeypatch.setenv("REPRO_PHASES", phases)
-            monkeypatch.setenv("REPRO_BLOCKS", blocks)
-            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-            records.append(comparable(run_workload(
-                workload, model=model, cores=cores, preset="tiny")))
+        records = [comparable(run_workload(workload, model=model,
+                                           cores=cores, preset="tiny"))
+                   for _ in switch_modes(monkeypatch, HATCH_VARS[:3])]
         assert all(r == records[0] for r in records[1:])
 
 
 class TestCounters:
-    def run_bitonic(self, monkeypatch, phases):
-        # Blocks and the fast path must be on for phases to retire, so
-        # pin them against ambient escape-hatch env (CI slow-path smoke).
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", phases)
+    def run_bitonic(self, monkeypatch, fastpath):
+        # Pinned against an ambient REPRO_FASTPATH=0 (CI slow-path smoke).
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         return run_workload("bitonic", model="cc", cores=1, preset="tiny")
 
     def test_bitonic_retires_phases(self, monkeypatch):
@@ -421,8 +415,6 @@ class TestCounters:
         # arm drives the hierarchy walker in a fused per-line loop and
         # still retires every iteration at the phase level.
         monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
         result = run_workload("fir", model="cc", cores=1, preset="tiny")
         total = result.stats["sim.phase_iters_total"]
         assert total > 0
@@ -431,24 +423,18 @@ class TestCounters:
 
 
 class TestExperimentTables:
-    """Whole experiment tables (restricted rows, tiny preset) across modes."""
+    """Whole experiment tables (restricted rows, tiny preset), engine on/off."""
 
-    def rows_in_mode(self, monkeypatch, phases, build):
-        monkeypatch.setenv("REPRO_PHASES", phases)
-        return build(Runner(preset="tiny")).rows
+    def rows_on_off(self, monkeypatch, build):
+        return [build(Runner(preset="tiny")).rows
+                for _ in switch_modes(monkeypatch, ("REPRO_FASTPATH",))]
 
     def test_figure2_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure2(runner, workloads=["bitonic"], core_counts=(1, 4))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
+        on, off = self.rows_on_off(monkeypatch, lambda runner: figure2(
+            runner, workloads=["bitonic"], core_counts=(1, 4)))
         assert on == off
 
     def test_figure5_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure5(runner, workloads=["merge"], clocks=(0.8,))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
+        on, off = self.rows_on_off(monkeypatch, lambda runner: figure5(
+            runner, workloads=["merge"], clocks=(0.8,)))
         assert on == off

@@ -8,14 +8,14 @@ step list of a double-buffered DMA loop without generator round trips,
 retiring whole iterations through the DMA engine's renewal calculus —
 is an optimization over that meaning, so these tests pin both sides:
 the ``stream()`` / ``stream_*`` factory API, and full-record
-bit-identity across every combination of ``REPRO_STREAMS``,
-``REPRO_PHASES``, ``REPRO_BLOCKS`` and ``REPRO_FASTPATH`` — with
-``stats["sim.*"]`` as the single permitted difference, same as the
-fast-path contract.
+bit-identity against the ``REPRO_FASTPATH=0`` reference mode, which
+materializes every stream into plain DMA ops — with ``stats["sim.*"]``
+as the single permitted difference, same as the fast-path contract.
 """
 
 import pytest
 
+from perfbench.common import HATCH_VARS
 from repro import run_workload
 from repro.config import DramConfig, MachineConfig
 from repro.core.ops import (
@@ -39,8 +39,8 @@ from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
 from repro.mem.dram import DramChannel
 from repro.obs import DmaCommandRecorder
-from repro.sim.fastpath import streams_enabled
 from repro.workloads.base import Program
+from tests.conftest import comparable, set_switches, switch_modes
 
 LINE = 32                  # MachineConfig default L1 line size
 BLOCK_BYTES = 8 * LINE     # one double-buffer tile
@@ -53,14 +53,6 @@ def run_threads(*threads, model="str", observer=None, **cfg_kwargs):
     if observer is not None:
         system.hierarchy.register_observer(observer)
     return system.run()
-
-
-def comparable(result) -> dict:
-    """The full result record minus the permitted ``sim.*`` diagnostics."""
-    record = result.to_dict()
-    record["stats"] = {k: v for k, v in record["stats"].items()
-                       if not k.startswith("sim.")}
-    return record
 
 
 def build_loop(env, count=COUNT, cycles=40, with_lsst=False):
@@ -135,19 +127,30 @@ def handwritten_thread(env):
 
 
 class TestFlag:
+    """The stream engine follows ``REPRO_FASTPATH`` and nothing else.
+
+    Reference mode materializes every stream into plain DMA ops, so
+    none of its iterations retire at the stream level.  Every retired
+    switch is set against the expected outcome, so it cannot select
+    the mode.
+    """
+
+    def retired(self):
+        return run_threads(streamed_thread).stats["sim.stream_iters"]
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMS", raising=False)
-        assert streams_enabled()
+        set_switches(monkeypatch, None, "0")
+        assert self.retired() > 0
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STREAMS", value)
-        assert not streams_enabled()
+        set_switches(monkeypatch, value, "1")
+        assert self.retired() == 0
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
     def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_STREAMS", value)
-        assert streams_enabled()
+        set_switches(monkeypatch, value, "0")
+        assert self.retired() > 0
 
 
 GET_TABLE = (((0x1000, LINE),), ((0x1020, LINE),))
@@ -269,16 +272,16 @@ class TestReplayIdentity:
     """A stream means exactly its materialized op run, in every mode."""
 
     def test_three_ways_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STREAMS", raising=False)
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         records = [comparable(run_threads(t))
                    for t in (streamed_thread, materialized_thread,
                              handwritten_thread)]
         assert records[0] == records[1] == records[2]
 
     def test_demotion_under_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(streamed_thread)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(streamed_thread)
         assert comparable(on) == comparable(off)
         # The arm really did retire on, and really did demote off.
@@ -295,9 +298,9 @@ class TestReplayIdentity:
             yield dma_wait(2)
             yield dma_wait(3)
 
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(with_lsst)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(with_lsst)
         assert comparable(on) == comparable(off)
         assert on.stats["sim.stream_iters"] > 0
@@ -306,11 +309,8 @@ class TestReplayIdentity:
 class TestQuantumStraddle:
     """Quantum expiry mid-iteration spills the remainder, bit for bit."""
 
-    def two_core_run(self, monkeypatch, streams, quantum):
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+    def two_core_run(self, monkeypatch, fastpath, quantum):
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         return run_threads(streamed_thread, streamed_thread,
                            quantum_cycles=quantum)
 
@@ -364,14 +364,14 @@ class TestDwaitContention:
         # bandwidth), so DMA transfers queue behind each other and
         # every dwait observes a backlog.  The renewal calculus must
         # spill to the exact per-command path there — identity against
-        # the escape hatch is the proof it never approximates a stall.
+        # the reference mode is the proof it never approximates a stall.
         dram = DramConfig(bandwidth_gbps=0.8, channels=channels,
                           interleave_bytes=256)
         threads = [streamed_thread] * 4
 
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         on = run_threads(*threads, dram=dram)
-        monkeypatch.setenv("REPRO_STREAMS", "0")
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(*threads, dram=dram)
         assert comparable(on) == comparable(off)
         # The contention was real: transfers queued at the channel and
@@ -381,13 +381,9 @@ class TestDwaitContention:
 
 
 class TestCounters:
-    def run_streaming(self, monkeypatch, streams, workload="bitonic"):
-        # Blocks and the fast path feed the kernel detour, so pin them
-        # against ambient escape-hatch env (CI slow-path smoke).
-        monkeypatch.setenv("REPRO_FASTPATH", "1")
-        monkeypatch.setenv("REPRO_BLOCKS", "1")
-        monkeypatch.setenv("REPRO_PHASES", "1")
-        monkeypatch.setenv("REPRO_STREAMS", streams)
+    def run_streaming(self, monkeypatch, fastpath, workload="bitonic"):
+        # Pinned against an ambient REPRO_FASTPATH=0 (CI slow-path smoke).
+        monkeypatch.setenv("REPRO_FASTPATH", fastpath)
         return run_workload(workload, model="str", cores=1, preset="tiny")
 
     @pytest.mark.parametrize("workload", ["bitonic", "fir", "fem"])
@@ -409,13 +405,11 @@ class TestCounters:
 
 
 class TestSixteenModeIdentity:
-    """streams x phases x blocks x fastpath: 16 interpreters, one answer."""
+    """``REPRO_FASTPATH`` x the three retired engine switches.
 
-    MODES = [(streams, phases, blocks, fastpath)
-             for streams in ("1", "0")
-             for phases in ("1", "0")
-             for blocks in ("1", "0")
-             for fastpath in ("1", "0")]
+    Sixteen modes, one answer: the retired switches are ignored, so the
+    sixteen are the two of the fast-path contract, each set eight times.
+    """
 
     @pytest.mark.parametrize("workload,model,cores", [
         ("fir", "str", 1),
@@ -423,14 +417,9 @@ class TestSixteenModeIdentity:
     ])
     def test_full_record_identical_in_all_modes(self, monkeypatch, workload,
                                                 model, cores):
-        records = []
-        for streams, phases, blocks, fastpath in self.MODES:
-            monkeypatch.setenv("REPRO_STREAMS", streams)
-            monkeypatch.setenv("REPRO_PHASES", phases)
-            monkeypatch.setenv("REPRO_BLOCKS", blocks)
-            monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-            records.append(comparable(run_workload(
-                workload, model=model, cores=cores, preset="tiny")))
+        records = [comparable(run_workload(workload, model=model,
+                                           cores=cores, preset="tiny"))
+                   for _ in switch_modes(monkeypatch, HATCH_VARS)]
         assert all(r == records[0] for r in records[1:])
 
 
@@ -443,7 +432,7 @@ class TestObserved:
 
     def test_recorder_sees_every_command_and_changes_nothing(self,
                                                              monkeypatch):
-        monkeypatch.setenv("REPRO_STREAMS", "1")
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
         bare = comparable(self.build().run())
         observed_system = self.build()
         with DmaCommandRecorder(observed_system.hierarchy) as recorder:
@@ -454,24 +443,18 @@ class TestObserved:
 
 
 class TestExperimentTables:
-    """Whole experiment tables (restricted rows, tiny preset) across modes."""
+    """Whole experiment tables (restricted rows, tiny preset), engine on/off."""
 
-    def rows_in_mode(self, monkeypatch, streams, build):
-        monkeypatch.setenv("REPRO_STREAMS", streams)
-        return build(Runner(preset="tiny")).rows
+    def rows_on_off(self, monkeypatch, build):
+        return [build(Runner(preset="tiny")).rows
+                for _ in switch_modes(monkeypatch, ("REPRO_FASTPATH",))]
 
     def test_figure2_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure2(runner, workloads=["fir"], core_counts=(1, 4))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
+        on, off = self.rows_on_off(monkeypatch, lambda runner: figure2(
+            runner, workloads=["fir"], core_counts=(1, 4)))
         assert on == off
 
     def test_figure5_rows_identical(self, monkeypatch):
-        def build(runner):
-            return figure5(runner, workloads=["merge"], clocks=(0.8,))
-
-        on = self.rows_in_mode(monkeypatch, "1", build)
-        off = self.rows_in_mode(monkeypatch, "0", build)
+        on, off = self.rows_on_off(monkeypatch, lambda runner: figure5(
+            runner, workloads=["merge"], clocks=(0.8,)))
         assert on == off
