@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "de-vectorization)")
     audit_p.add_argument("--expect-streamed", metavar="NAMES",
                          help="comma-separated workloads that must dispatch "
-                              "at least one eligible OpStream in the str "
+                              "at least one OpStream in the str "
                               "mapping; exit non-zero when the audited set "
                               "differs (guards against silent de-streaming)")
 
@@ -163,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                                if r.model == "str" and r.streamed})
             if streamed != expected:
                 print(f"expect-streamed mismatch: expected {expected}, "
-                      f"audited programs dispatch eligible streams in "
+                      f"audited programs dispatch streams in "
                       f"{streamed}", file=sys.stderr)
                 status = 1
         return status

@@ -224,18 +224,15 @@ class PhaseProof:
 
 
 @dataclass(frozen=True)
-class StreamProof:
-    """Eligibility verdict for one dispatched OpStream descriptor.
+class StreamRecord:
+    """One dispatched OpStream descriptor shape, aggregated.
 
-    The ``stream()`` factory already validates shape at construction
-    (table coverage, positive DMA ranges, kernel tables of OpBlocks),
-    so a dispatched descriptor is structurally sound; what remains to
-    prove is what lets the stream arm's renewal calculus retire whole
-    double-buffer iterations cheaply: every kernel lane closes in
-    arithmetic form (``arith_cycles`` precomputed) and every
-    local-store touch fits the capacity budget.  An ineligible stream
-    still runs bit-identically — the arm just spills the offending
-    kernels op by op.
+    The ``stream()`` factory validates shape at construction (table
+    coverage, positive DMA ranges, kernel tables of OpBlocks), and the
+    processor materializes every stream in chunks, so there is no
+    eligibility to prove: the record only says which streams ran.
+    Their kernels get block proofs and their DMA commands the hazard
+    checks, through the materialized replay.
     """
 
     name: str
@@ -243,25 +240,12 @@ class StreamProof:
     dispatches: int
     iterations: int
     dma_steps: int
-    kernels_arith: bool
-    ls_fits: bool
-
-    @property
-    def eligible(self) -> bool:
-        return self.kernels_arith and self.ls_fits
 
     def render(self) -> str:
-        verdict = "eligible" if self.eligible else "NOT eligible"
-        why = []
-        if not self.kernels_arith:
-            why.append("non-arith kernel lanes")
-        if not self.ls_fits:
-            why.append("exceeds local store")
-        tail = f" ({', '.join(why)})" if why else ""
         return (f"stream {self.name!r}: {self.steps} step(s) x "
                 f"{self.iterations} iteration(s) over "
                 f"{self.dispatches} dispatch(es), {self.dma_steps} DMA "
-                f"rim step(s): {verdict}{tail}")
+                f"rim step(s)")
 
 
 @dataclass(frozen=True)
@@ -296,7 +280,7 @@ class AuditReport:
     diagnostics: list[Diagnostic]
     blocks: list[BlockProof]
     phases: list[PhaseProof]
-    streams: list[StreamProof]
+    streams: list[StreamRecord]
     candidates: list[LoopCandidate]
     ops_walked: int
     truncated: bool
@@ -321,8 +305,8 @@ class AuditReport:
 
     @property
     def streamed(self) -> bool:
-        """True when the program dispatches at least one eligible stream."""
-        return any(s.eligible for s in self.streams)
+        """True when the program dispatches OpStream descriptors."""
+        return bool(self.streams)
 
     def to_dict(self) -> dict:
         return {
@@ -336,8 +320,7 @@ class AuditReport:
                        for b in self.blocks],
             "phases": [dict(asdict(p), eligible=p.eligible)
                        for p in self.phases],
-            "streams": [dict(asdict(s), eligible=s.eligible)
-                        for s in self.streams],
+            "streams": [asdict(s) for s in self.streams],
             "candidates": [asdict(c) for c in self.candidates],
             "converted": self.converted,
             "phased": self.phased,
@@ -1087,58 +1070,26 @@ class _ProgramAuditor:
         proofs.sort(key=lambda p: (p.name, -p.iterations))
         return proofs
 
-    def stream_proofs(self) -> list[StreamProof]:
+    def stream_records(self) -> list[StreamRecord]:
         # Workloads mint one descriptor per (thread, vector) shape, so
-        # same-shaped descriptors aggregate under one proof:
+        # same-shaped descriptors aggregate under one record:
         # signature -> [dispatches, iterations].
         grouped: dict[tuple, list[int]] = {}
-        capacity = (self.config.stream.local_store_bytes
-                    if self.streaming else 0)
         for stats in self.stream_stats.values():
             st: OpStream = stats["st"]
-            kernels_arith = True
-            ls_fits = True
-            dma_steps = 0
-            for step in st.steps:
-                kind = step[0]
-                if kind == OP_BLOCK:
-                    for blk in step[1][:st.count]:
-                        if blk.arith_cycles is None:
-                            kernels_arith = False
-                        if blk.ls_max_end > capacity:
-                            ls_fits = False
-                elif kind == OP_LOCAL_STORE:
-                    _, table, nbytes, _accesses = step
-                    if any(off + nbytes > capacity
-                           for off in table[:st.count]):
-                        ls_fits = False
-                elif kind in (OP_DMA_GET, OP_DMA_PUT):
-                    dma_steps += 1
-            key = (st.name or "anonymous", len(st.steps), dma_steps,
-                   kernels_arith, ls_fits)
+            dma_steps = sum(1 for step in st.steps
+                            if step[0] in (OP_DMA_GET, OP_DMA_PUT))
+            key = (st.name or "anonymous", len(st.steps), dma_steps)
             counts = grouped.setdefault(key, [0, 0])
             counts[0] += stats["dispatches"]
             counts[1] += stats["iterations"]
-        proofs = []
-        for key, (dispatches, iterations) in grouped.items():
-            name, steps, dma_steps, kernels_arith, ls_fits = key
-            proof = StreamProof(
-                name=name,
-                steps=steps,
-                dispatches=dispatches,
-                iterations=iterations,
-                dma_steps=dma_steps,
-                kernels_arith=kernels_arith,
-                ls_fits=ls_fits,
-            )
-            proofs.append(proof)
-            if not proof.eligible:
-                self._sink(Diagnostic(
-                    WARNING, "stream-proof-failed",
-                    f"dispatched stream {proof.name!r} fails its "
-                    "eligibility proof: " + proof.render()))
-        proofs.sort(key=lambda p: (p.name, -p.iterations))
-        return proofs
+        records = [
+            StreamRecord(name=name, steps=steps, dispatches=dispatches,
+                         iterations=iterations, dma_steps=dma_steps)
+            for (name, steps, dma_steps), (dispatches, iterations)
+            in grouped.items()]
+        records.sort(key=lambda r: (r.name, -r.iterations))
+        return records
 
     # -- candidate loops -----------------------------------------------
 
@@ -1274,7 +1225,7 @@ class _ProgramAuditor:
     def report(self) -> AuditReport:
         blocks = self.block_proofs()
         phases = self.phase_proofs()
-        streams = self.stream_proofs()
+        streams = self.stream_records()
         candidates = self.find_candidates()
         return AuditReport(
             workload=self.workload,

@@ -20,9 +20,8 @@ The ``task_pop`` operation returns a value *into* the generator — use
 Hot loops should not rebuild the same op tuples every iteration: build an
 :class:`OpBlock` template once with :func:`block` and yield
 ``template.at(offset)`` per iteration instead.  The processor replays the
-block without generator round trips, and — when every line it touches is
-a guaranteed L1 hit — retires it in closed form (see
-:mod:`repro.core.processor` and docs/PERF.md).
+block without generator round trips (see :mod:`repro.core.processor` and
+docs/PERF.md).
 
 A level above blocks, a loop that replays templates at a *constant
 stride* can be described once as an :class:`OpPhase` (:func:`phase`) and
@@ -363,7 +362,7 @@ class BlockFootprint:
         #: Tags waited on inside the block.
         self.wait_tags = tuple(wait_tags)
         #: True when the block is pure compute + cached/local accesses —
-        #: exactly the blocks the closed-form interpreter can retire.
+        #: exactly the blocks a phase's closed form can retire.
         self.arith_only = arith_only
 
     def line_bytes_touched(self, line_bytes: int) -> int:
@@ -478,10 +477,10 @@ class OpBlock:
     Attributes precomputed for the interpreter:
 
     * ``arith_cycles`` — total cost in core cycles when every memory line
-      hits (``None`` if the block contains DMA/prefetch/flush ops, which
-      never retire in closed form);
-    * ``prefix_cycles`` — cumulative cycles after each op, used to replay
-      the exact quantum-renewal schedule arithmetically;
+      hits (``None`` if the block contains DMA/prefetch/flush ops: such
+      a block always materializes into plain ops);
+    * ``prefix_cycles`` — cumulative cycles after each op, from which a
+      phase's closed form replays the exact quantum-renewal schedule;
     * counter aggregates (instructions, word/local accesses, local-store
       read/write bytes and accesses).
     """
@@ -602,9 +601,9 @@ class OpBlock:
         """The plain per-op stream this block stands for, from ``start``.
 
         This *is* the block's semantics: every execution mode other than
-        the tight/closed-form interpreter (``REPRO_FASTPATH=0``, or a
-        block carrying DMA ops, or a mid-block yield spilling its remainder)
-        runs exactly these tuples through the ordinary dispatch arms.
+        the tight interpreter (``REPRO_FASTPATH=0``, or a block carrying
+        DMA ops) runs exactly these tuples through the ordinary dispatch
+        arms.
         """
         ops = self.ops[start:] if start else self.ops
         if delta == 0:
@@ -907,10 +906,9 @@ class OpStream:
     any stride — filtered block lists and mesh-indexed gathers index
     straight in), so one descriptor covers a whole pass.  Yielding the
     stream op means exactly yielding :meth:`materialize`'s op tuples
-    one by one; the processor's stream arm interprets the steps with
-    bit-identical per-op semantics but no generator round trips, and
-    ``REPRO_FASTPATH=0`` (or a mid-iteration suspension point) falls
-    back to the materialized chunks.
+    one by one; the processor materializes them in bounded chunks, so
+    a descriptor costs one generator round trip per chunk instead of
+    one per op.
     """
 
     __slots__ = ("steps", "count", "name")
@@ -929,26 +927,21 @@ class OpStream:
         """The stream op this descriptor is yielded as."""
         return (OP_STREAM, self)
 
-    def materialize(self, start: int = 0, stop: int | None = None,
-                    step0: int = 0) -> list:
+    def materialize(self, start: int = 0, stop: int | None = None) -> list:
         """The plain per-op DMA stream for iterations ``[start, stop)``.
 
-        This *is* the stream's semantics: every execution mode other
-        than the stream arm (``REPRO_FASTPATH=0``, or a resume after a
-        mid-iteration quantum yield) runs exactly these tuples through
-        the ordinary dispatch arms.  ``step0`` skips the first
-        iteration's leading steps (a quantum yield spills the rest of
-        the interrupted iteration, not all of it).
+        This *is* the stream's semantics: the processor runs exactly
+        these tuples, chunk by chunk, through the ordinary dispatch arms
+        in every execution mode.
         """
         if stop is None:
             stop = self.count
         count = self.count
-        all_steps = self.steps
-        first_steps = all_steps[step0:] if step0 else all_steps
+        steps = self.steps
         out = []
         emit = out.append
         for k in range(start, stop):
-            for step in first_steps if k == start else all_steps:
+            for step in steps:
                 kind = step[0]
                 if kind == OP_DMA_GET or kind == OP_DMA_PUT:
                     _, tag0, alt, ahead, table = step
@@ -1050,7 +1043,7 @@ def stream_store(table, nbytes: int, accesses: int | None = None) -> tuple:
 def stream(*steps: tuple, count: int, name: str | None = None) -> OpStream:
     """Build an immutable, validated :class:`OpStream` from step tuples.
 
-    Validation is front-loaded here so the stream arm does none: every
+    Validation is front-loaded here so materialization does none: every
     step must come from one of the ``stream_*`` factories above, every
     table must cover the iterations that index it, kernel tables must
     hold :class:`OpBlock` templates, and DMA tables must hold positive

@@ -37,31 +37,20 @@ if TYPE_CHECKING:
 #: Fetch stall per instruction-cache miss: an L2 round trip.
 ICACHE_MISS_PENALTY_NS = 12.0
 
-#: Iterations spilled per chunk when a phase cannot retire in closed
-#: form (reference mode, non-arith lanes, observers).  Bounds the pending
-#: list while keeping the re-dispatch overhead amortized.
-PHASE_SPILL_CHUNK = 64
+#: Iterations a phase or stream spills per chunk back into plain replays
+#: when it cannot retire in closed form (reference mode, an ineligible
+#: phase, a schedule-gated slice, a non-resident line).  Bounds the
+#: pending list while keeping the re-dispatch overhead amortized.
+SPILL_CHUNK = 64
 
 #: Smallest slice worth retiring in closed form.  Below this, the phase
 #: arm's own per-slice cost (schedule gate, queue peek, residency scan,
 #: renewal arithmetic) exceeds what retiring saves over the block
-#: interpreter's per-iteration closed form, so the slice spills instead.
-#: Multi-core barrier-lockstep runs sit permanently in this regime —
-#: foreign events land within an iteration's cost of each other — and
-#: degrade gracefully to block-interpreter speed.
+#: interpreter, so the slice spills instead.  Multi-core
+#: barrier-lockstep runs sit permanently in this regime — foreign
+#: events land within an iteration's cost of each other — and degrade
+#: gracefully to block-interpreter speed.
 PHASE_MIN_RETIRE = 4
-
-#: Iterations spilled when the schedule gate yields a slice below
-#: :data:`PHASE_MIN_RETIRE` (quantum boundary with foreign events too
-#: close).  Barrier-lockstep cores keep their events interleaved within
-#: an iteration's cost for long stretches, so a blocked phase spills a
-#: full chunk rather than re-proving the schedule every few iterations;
-#: the block interpreter's own closed form keeps the spilled chunk fast.
-PHASE_SCHED_SPILL = 64
-
-#: Iterations a stream materializes per chunk back into the plain per-op
-#: DMA stream in the reference mode (``REPRO_FASTPATH=0``).
-STREAM_SPILL_CHUNK = 64
 
 #: Block dispatches that skip the per-op inline L1 pre-probe after one
 #: full dispatch of the template observed zero inline hits (the probe
@@ -71,44 +60,24 @@ STREAM_SPILL_CHUNK = 64
 BLK_COLD_SKIP = 15
 
 
-def _limit_after_block(start_fs: int, limit_fs: int, cycle_fs: int,
-                       quantum_fs: int, prefix_cycles: tuple) -> int:
-    """Quantum limit after replaying a block's per-op renewal schedule.
-
-    Per-op execution checks ``now >= limit`` after *every* op and, with
-    the queue head beyond the core's clock, renews ``limit = now +
-    quantum``.  The closed form must leave the same limit so quantum
-    boundaries stay aligned with per-op execution for the rest of the
-    thread.  ``prefix_cycles[i]`` is the block's cumulative cost after op
-    ``i``, so the op times are ``start + P_i * cycle`` and each renewal
-    picks the first boundary at or past the current limit.  Renewal is
-    guaranteed to succeed: the caller established that the queue head
-    lies beyond the block's end, hence beyond every interior boundary.
-    """
-    total = prefix_cycles[-1]
-    while True:
-        need = -(-(limit_fs - start_fs) // cycle_fs)
-        if need > total:
-            return limit_fs
-        index = bisect_left(prefix_cycles, need)
-        limit_fs = start_fs + prefix_cycles[index] * cycle_fs + quantum_fs
-
-
 def _limit_after_phase(start_fs: int, limit_fs: int, cycle_fs: int,
                        quantum_fs: int, iter_prefix: tuple,
                        iter_cycles: int, iters: int) -> int:
     """Quantum limit after ``iters`` closed-form phase iterations.
 
-    The iteration axis extends :func:`_limit_after_block`'s schedule
-    periodically: op boundaries sit at ``start + (k * iter_cycles +
+    Per-op execution checks ``now >= limit`` after *every* op and, with
+    the queue head beyond the core's clock, renews ``limit = now +
+    quantum``.  The closed form must leave the same limit so quantum
+    boundaries stay aligned with per-op execution for the rest of the
+    thread.  Op boundaries sit at ``start + (k * iter_cycles +
     iter_prefix[i]) * cycle_fs`` for iteration ``k``, so each renewal
     resolves its target boundary by splitting the cumulative cycle count
     into (iteration, residue) and bisecting the residue into one
     iteration's prefix sums.  The loop runs once per quantum renewal —
-    O(total cycles / quantum), independent of the iteration count —
-    and, like the block version, relies on the caller having proved
-    that every renewal inside the phase succeeds (queue head beyond the
-    retired prefix, or no boundary reaching the old limit at all).
+    O(total cycles / quantum), independent of the iteration count — and
+    relies on the caller having proved that every renewal inside the
+    phase succeeds (queue head beyond the retired prefix, or no boundary
+    reaching the old limit at all).
     """
     total = iters * iter_cycles
     while True:
@@ -178,10 +147,8 @@ class Processor:
         #: (mode-independent: counted once whether retired or spilled).
         self.phase_iters = 0
         self.phase_iters_total = 0
-        #: Iterations driven by the stream arm (mode-dependent
-        #: diagnostic) and total iterations dispatched as streams
-        #: (counted once whether interpreted or materialized).
-        self.stream_iters = 0
+        #: Total iterations dispatched as streams (every mode
+        #: materializes them in chunks; see the ``"strm"`` arm).
         self.stream_iters_total = 0
         self.done = False
         self.finish_fs = 0
@@ -238,27 +205,29 @@ class Processor:
 
         * **Op blocks** (``"blk"``) are immutable templates the workload
           yields once per loop iteration (see :func:`repro.core.ops.block`).
-          A block of compute / L1 / local-store ops whose lines are all
-          guaranteed inline hits and whose end precedes the queue head
-          retires in *closed form* — cost, counters, and LRU touches
-          applied arithmetically, with the quantum-renewal schedule
-          replayed via :func:`_limit_after_block`.  Otherwise the block
-          runs through a tight per-op loop (no generator round trips),
-          spilling its unexecuted remainder into ``self._pending`` if the
-          quantum expires mid-block.  The reference mode, or any block
-          carrying DMA / prefetch / flush ops, materializes the block
-          back into plain tuples handled by the arms above.
+          A block of compute / L1 / local-store ops runs through a tight
+          per-op loop (no generator round trips), spilling its
+          unexecuted remainder into ``self._pending`` if the quantum
+          expires mid-block; a template seen cold skips the inline L1
+          probe for :data:`BLK_COLD_SKIP` dispatches.  The reference
+          mode, or any block carrying DMA / prefetch / flush ops,
+          materializes the block back into plain tuples handled by the
+          arms above.
         * **Op phases** (``"ph"``) are the tier above blocks (see
           :func:`repro.core.ops.phase`): a run of K constant-stride block
-          iterations yielded as one descriptor.  When the block closed
-          form's conditions hold across whole iterations, the phase arm
+          iterations yielded as one descriptor.  When every line of
+          whole iterations is a guaranteed inline hit, the phase arm
           retires as many as the quantum/queue horizon allows in a
           single arithmetic step — counters as ``K x per_iteration``
           sums, LRU/stored state via the block geometry evaluated per
           iteration shift, the renewal schedule via
-          :func:`_limit_after_phase` — and spills back to per-block
-          replays at the first non-resident iteration or ineligible
-          descriptor.  The reference mode spills every phase.
+          :func:`_limit_after_phase`.  Everything else (an ineligible
+          descriptor, a schedule-gated slice, the first non-resident
+          iteration, and every phase in the reference mode) spills a
+          chunk of :data:`SPILL_CHUNK` block replays.
+        * **Op streams** (``"strm"``, see :func:`repro.core.ops.stream`)
+          materialize in chunks of :data:`SPILL_CHUNK` iterations into
+          the plain DMA / block / local-store ops, in every mode.
         """
         gen_send = self._gen.send
         cycle_fs = self.cycle_fs
@@ -308,7 +277,6 @@ class Processor:
         stores_hit = 0
         phase_retired = 0
         phase_total = 0
-        stream_retired = 0
         stream_total = 0
 
         # Exit actions: how the loop below was left.
@@ -430,585 +398,277 @@ class Processor:
                                     and local_store.observer is None
                                     and ph.ls_max_end
                                     <= local_store.capacity_bytes)
-                    if not eligible:
-                        k_hi = k0 + PHASE_SPILL_CHUNK
-                        if k_hi < count:
-                            pending.append(("ph", ph, k_hi))
-                        else:
-                            k_hi = count
-                        for k in range(k_hi - 1, k0 - 1, -1):
-                            for blk, base, stride in reversed(lanes):
-                                pending.append(
-                                    ("blk", blk, base + k * stride))
-                        continue
-                    # Schedule gate: retiring m iterations is safe when
-                    # their end precedes the quantum limit (no renewal
-                    # needed) or the queue head lies beyond it (every
-                    # interior renewal succeeds).  m_peek may go negative
-                    # when another core's event sits at or behind our
-                    # clock; the max() floors the bound at m_limit >= 0.
-                    c_fs = iter_cycles * cycle_fs
-                    m_max = count - k0
-                    m_limit = (limit - now - 1) // c_fs
-                    if m_limit >= m_max:
-                        m_allowed = m_max
-                    else:
-                        next_fs = peek_time()
-                        if next_fs is None:
+                    if eligible:
+                        # Schedule gate: retiring m iterations is safe
+                        # when their end precedes the quantum limit (no
+                        # renewal needed) or the queue head lies beyond
+                        # it (every interior renewal succeeds).  m_peek
+                        # may go negative when another core's event sits
+                        # at or behind our clock; taking the larger of
+                        # the two floors the bound at m_limit >= 0.
+                        c_fs = iter_cycles * cycle_fs
+                        m_max = count - k0
+                        m_limit = (limit - now - 1) // c_fs
+                        if m_limit >= m_max:
                             m_allowed = m_max
                         else:
-                            m_peek = (next_fs - now - 1) // c_fs
-                            m_allowed = m_limit if m_limit > m_peek else m_peek
-                            if m_allowed > m_max:
+                            next_fs = peek_time()
+                            if next_fs is None:
                                 m_allowed = m_max
-                    if m_allowed < PHASE_MIN_RETIRE:
-                        # Quantum boundary with foreign events too close
-                        # to prove a slice worth the arm's overhead: run
-                        # a short chunk through the block interpreter (it
-                        # replays the renewal/yield decision per op,
-                        # bit-exactly) and resume the phase afterwards.
-                        spill = m_allowed if (m_allowed
-                                              > PHASE_SCHED_SPILL) \
-                            else PHASE_SCHED_SPILL
-                        k_hi = k0 + spill
-                        if k_hi < count:
-                            pending.append(("ph", ph, k_hi))
-                        else:
-                            k_hi = count
-                        for k in range(k_hi - 1, k0 - 1, -1):
-                            for blk, base, stride in reversed(lanes):
-                                pending.append(
-                                    ("blk", blk, base + k * stride))
-                        continue
-                    geom = ph._geometries.get(line_shift)
-                    if geom is None:
-                        geom = ph.geometry(line_shift)
-                    glanes = geom.lanes
-                    # Residency scan: the per-line conditions are exactly
-                    # the block closed form's, probed at the slice start.
-                    # That is conservative-safe for every later iteration
-                    # in the slice: a zero-miss slice inserts and evicts
-                    # nothing, and the state transitions it does apply
-                    # (SHARED departing, prefetch tags clearing, LRU
-                    # touches) only ever *help* these checks.
-                    if ph.all_static:
-                        # Revisit phase (every stride zero): residency is
-                        # iteration-invariant — check once, apply the
-                        # stored/LRU transitions once (identical
-                        # iterations are idempotent on cache state), and
-                        # multiply the counters.
-                        ok = True
-                        for g, (_blk, base, _stride) in zip(glanes, lanes):
-                            dl = base >> line_shift
-                            for rel, loaded, fresh, written in g.checks:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask].get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                        if ok:
+                            else:
+                                m_peek = (next_fs - now - 1) // c_fs
+                                m_allowed = (m_limit if m_limit > m_peek
+                                             else m_peek)
+                                if m_allowed > m_max:
+                                    m_allowed = m_max
+                        # Below PHASE_MIN_RETIRE, foreign events are too
+                        # close to prove a slice worth the arm's
+                        # overhead: the block interpreter replays the
+                        # renewal/yield decision per op instead.
+                        eligible = m_allowed >= PHASE_MIN_RETIRE
+                    if eligible:
+                        geom = ph._geometries.get(line_shift)
+                        if geom is None:
+                            geom = ph.geometry(line_shift)
+                        glanes = geom.lanes
+                        # Residency scan: every line must be a guaranteed
+                        # inline hit (the per-op loop's own conditions),
+                        # probed at the slice start.  That is
+                        # conservative-safe for every later iteration in
+                        # the slice: a zero-miss slice inserts and evicts
+                        # nothing, and the state transitions it does
+                        # apply (SHARED departing, prefetch tags
+                        # clearing, LRU touches) only ever *help* these
+                        # checks.
+                        if ph.all_static:
+                            # Revisit phase (every stride zero):
+                            # residency is iteration-invariant — check
+                            # once, apply the stored/LRU transitions once
+                            # (identical iterations are idempotent on
+                            # cache state), and multiply the counters.
+                            ok = True
                             for g, (_blk, base, _stride) in zip(glanes,
                                                                 lanes):
                                 dl = base >> line_shift
-                                for rel in g.stored:
-                                    line = rel + dl
-                                    entry = l1_sets[line & l1_mask][line]
-                                    entry.state = modified
-                                    entry.prefetched = False
-                                for rel in g.lru:
-                                    line = rel + dl
-                                    l1_sets[line & l1_mask].move_to_end(line)
-                            retire = m_allowed
-                        else:
-                            retire = 0
-                    elif len(glanes) == 1:
-                        # Single-lane strided phase (the shape every run
-                        # coalescer emits): fused scan+apply with an
-                        # incremental line cursor — the alignment gate
-                        # proved base and stride line-multiples, so the
-                        # per-iteration delta is one integer add.
-                        g = glanes[0]
-                        _blk, base, stride = lanes[0]
-                        dl = (base + k0 * stride) >> line_shift
-                        sdl = stride >> line_shift
-                        checks = g.checks
-                        g_stored = g.stored
-                        g_lru = g.lru
-                        n_m = m_allowed
-                        retire = 0
-                        if (len(checks) == 1 and g_lru == (checks[0][0],)
-                                and (not g_stored
-                                     or g_stored == (checks[0][0],))):
-                            # One-line block (load/compute[/store] on a
-                            # single cache line): the check, the dirty
-                            # transition, and the LRU touch all hit the
-                            # same entry, so one probe per iteration
-                            # covers everything.
-                            rel, loaded, fresh, written = checks[0]
-                            do_store = bool(g_stored)
-                            while retire < n_m:
-                                line = rel + dl
-                                cache_set = l1_sets[line & l1_mask]
-                                entry = cache_set.get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    break
-                                if do_store:
-                                    entry.state = modified
-                                    entry.prefetched = False
-                                cache_set.move_to_end(line)
-                                dl += sdl
-                                retire += 1
-                            n_m = retire  # skip the generic loop below
-                        while retire < n_m:
-                            ok = True
-                            for rel, loaded, fresh, written in checks:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask].get(line)
-                                if (entry is None
-                                        or (loaded
-                                            and (entry.ready_fs > now
-                                                 or (fresh
-                                                     and entry.prefetched)))
-                                        or (written
-                                            and entry.state is shared)):
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                            for rel in g_stored:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask][line]
-                                entry.state = modified
-                                entry.prefetched = False
-                            for rel in g_lru:
-                                l1_sets[(rel + dl) & l1_mask].move_to_end(
-                                    rel + dl)
-                            dl += sdl
-                            retire += 1
-                    else:
-                        # Multi-lane strided phase: same fused scan+apply,
-                        # verifying ALL lanes of an iteration before
-                        # applying any of its state, stopping at the first
-                        # non-resident iteration (the retired prefix stays
-                        # exact).  Lane line cursors advance incrementally
-                        # along the iteration axis.
-                        lane_geoms = list(zip(glanes, lanes))
-                        dls = [(base + k0 * stride) >> line_shift
-                               for _g, (_b, base, stride) in lane_geoms]
-                        sdls = [stride >> line_shift
-                                for _g, (_b, _base, stride) in lane_geoms]
-                        n_m = m_allowed
-                        retire = 0
-                        while retire < n_m:
-                            ok = True
-                            for (g, _lane), dl in zip(lane_geoms, dls):
                                 for rel, loaded, fresh, written in g.checks:
                                     line = rel + dl
                                     entry = l1_sets[line & l1_mask].get(line)
                                     if (entry is None
                                             or (loaded
                                                 and (entry.ready_fs > now
-                                                     or (fresh
-                                                         and entry.prefetched
-                                                         )))
+                                                     or (fresh and entry
+                                                         .prefetched)))
                                             or (written
                                                 and entry.state is shared)):
                                         ok = False
                                         break
                                 if not ok:
                                     break
-                            if not ok:
-                                break
-                            for (g, _lane), dl in zip(lane_geoms, dls):
-                                for rel in g.stored:
+                            if ok:
+                                for g, (_blk, base, _stride) in zip(glanes,
+                                                                    lanes):
+                                    dl = base >> line_shift
+                                    for rel in g.stored:
+                                        line = rel + dl
+                                        entry = l1_sets[line & l1_mask][line]
+                                        entry.state = modified
+                                        entry.prefetched = False
+                                    for rel in g.lru:
+                                        line = rel + dl
+                                        l1_sets[line & l1_mask].move_to_end(
+                                            line)
+                                retire = m_allowed
+                            else:
+                                retire = 0
+                        elif len(glanes) == 1:
+                            # Single-lane strided phase (the shape every
+                            # run coalescer emits): fused scan+apply with
+                            # an incremental line cursor — the alignment
+                            # gate proved base and stride line-multiples,
+                            # so the per-iteration delta is one add.
+                            g = glanes[0]
+                            _blk, base, stride = lanes[0]
+                            dl = (base + k0 * stride) >> line_shift
+                            sdl = stride >> line_shift
+                            checks = g.checks
+                            g_stored = g.stored
+                            g_lru = g.lru
+                            n_m = m_allowed
+                            retire = 0
+                            if (len(checks) == 1
+                                    and g_lru == (checks[0][0],)
+                                    and (not g_stored
+                                         or g_stored == (checks[0][0],))):
+                                # One-line block (load/compute[/store] on
+                                # a single cache line): the check, the
+                                # dirty transition, and the LRU touch all
+                                # hit the same entry, so one probe per
+                                # iteration covers everything.
+                                rel, loaded, fresh, written = checks[0]
+                                do_store = bool(g_stored)
+                                while retire < n_m:
+                                    line = rel + dl
+                                    cache_set = l1_sets[line & l1_mask]
+                                    entry = cache_set.get(line)
+                                    if (entry is None
+                                            or (loaded
+                                                and (entry.ready_fs > now
+                                                     or (fresh and entry
+                                                         .prefetched)))
+                                            or (written
+                                                and entry.state is shared)):
+                                        break
+                                    if do_store:
+                                        entry.state = modified
+                                        entry.prefetched = False
+                                    cache_set.move_to_end(line)
+                                    dl += sdl
+                                    retire += 1
+                                n_m = retire  # skip the generic loop below
+                            while retire < n_m:
+                                ok = True
+                                for rel, loaded, fresh, written in checks:
+                                    line = rel + dl
+                                    entry = l1_sets[line & l1_mask].get(line)
+                                    if (entry is None
+                                            or (loaded
+                                                and (entry.ready_fs > now
+                                                     or (fresh and entry
+                                                         .prefetched)))
+                                            or (written
+                                                and entry.state is shared)):
+                                        ok = False
+                                        break
+                                if not ok:
+                                    break
+                                for rel in g_stored:
                                     line = rel + dl
                                     entry = l1_sets[line & l1_mask][line]
                                     entry.state = modified
                                     entry.prefetched = False
-                                for rel in g.lru:
-                                    line = rel + dl
-                                    l1_sets[line & l1_mask].move_to_end(line)
-                            dls = [dl + sdl for dl, sdl in zip(dls, sdls)]
-                            retire += 1
-                    if retire:
-                        end = now + retire * c_fs
-                        useful += end - now
-                        instructions += ph.instructions * retire
-                        word_accesses += ph.word_accesses * retire
-                        local_accesses += ph.local_accesses * retire
-                        loads_hit += geom.loads_hit * retire
-                        stores_hit += geom.stores_hit * retire
-                        if ph.has_local:
-                            local_store.reads += ph.ls_reads * retire
-                            local_store.read_accesses += (
-                                ph.ls_read_accesses * retire)
-                            local_store.writes += ph.ls_writes * retire
-                            local_store.write_accesses += (
-                                ph.ls_write_accesses * retire)
-                        if end >= limit:
-                            # Safe by the schedule gate: retire > m_limit
-                            # only happens on the peek branch with every
-                            # interior renewal proven to succeed.
-                            limit = _limit_after_phase(
-                                now, limit, cycle_fs, quantum_fs,
-                                ph.iter_prefix, iter_cycles, retire)
-                        now = end
-                        phase_retired += retire
-                        k0 += retire
-                    if k0 < count:
+                                for rel in g_lru:
+                                    l1_sets[(rel + dl) & l1_mask].move_to_end(
+                                        rel + dl)
+                                dl += sdl
+                                retire += 1
+                        else:
+                            # Multi-lane strided phase: same fused
+                            # scan+apply, verifying ALL lanes of an
+                            # iteration before applying any of its state,
+                            # stopping at the first non-resident
+                            # iteration (the retired prefix stays exact).
+                            # Lane line cursors advance incrementally
+                            # along the iteration axis.
+                            lane_geoms = list(zip(glanes, lanes))
+                            dls = [(base + k0 * stride) >> line_shift
+                                   for _g, (_b, base, stride) in lane_geoms]
+                            sdls = [stride >> line_shift
+                                    for _g, (_b, _base, stride) in lane_geoms]
+                            n_m = m_allowed
+                            retire = 0
+                            while retire < n_m:
+                                ok = True
+                                for (g, _lane), dl in zip(lane_geoms, dls):
+                                    for rel, loaded, fresh, written in (
+                                            g.checks):
+                                        line = rel + dl
+                                        entry = l1_sets[line & l1_mask].get(
+                                            line)
+                                        if (entry is None
+                                                or (loaded
+                                                    and (entry.ready_fs > now
+                                                         or (fresh and entry
+                                                             .prefetched)))
+                                                or (written and entry.state
+                                                    is shared)):
+                                            ok = False
+                                            break
+                                    if not ok:
+                                        break
+                                if not ok:
+                                    break
+                                for (g, _lane), dl in zip(lane_geoms, dls):
+                                    for rel in g.stored:
+                                        line = rel + dl
+                                        entry = l1_sets[line & l1_mask][line]
+                                        entry.state = modified
+                                        entry.prefetched = False
+                                    for rel in g.lru:
+                                        line = rel + dl
+                                        l1_sets[line & l1_mask].move_to_end(
+                                            line)
+                                dls = [dl + sdl for dl, sdl in zip(dls, sdls)]
+                                retire += 1
+                        if retire:
+                            end = now + retire * c_fs
+                            useful += end - now
+                            instructions += ph.instructions * retire
+                            word_accesses += ph.word_accesses * retire
+                            local_accesses += ph.local_accesses * retire
+                            loads_hit += geom.loads_hit * retire
+                            stores_hit += geom.stores_hit * retire
+                            if ph.has_local:
+                                local_store.reads += ph.ls_reads * retire
+                                local_store.read_accesses += (
+                                    ph.ls_read_accesses * retire)
+                                local_store.writes += ph.ls_writes * retire
+                                local_store.write_accesses += (
+                                    ph.ls_write_accesses * retire)
+                            if end >= limit:
+                                # Safe by the schedule gate: retire > m_limit
+                                # only happens on the peek branch with every
+                                # interior renewal proven to succeed.
+                                limit = _limit_after_phase(
+                                    now, limit, cycle_fs, quantum_fs,
+                                    ph.iter_prefix, iter_cycles, retire)
+                            now = end
+                            phase_retired += retire
+                            k0 += retire
                         if retire == m_allowed:
                             # Horizon-bound: the slice retired whole; the
                             # cursor re-enters with a renewed schedule
                             # gate (limit advanced above, or the peek
-                            # still blocks and one iteration spills).
-                            pending.append(("ph", ph, k0))
-                        else:
-                            # Residency failed at iteration k0.  For a
-                            # single-lane cache phase this is usually a
-                            # *miss stream* — a never-resident strided
-                            # scan (fir-cc) taking one compulsory miss
-                            # per line — so the miss arm below drives the
-                            # hierarchy walker directly in a fused
-                            # per-line loop: exact stalls, evictions and
-                            # coherence traffic (the very walker calls
-                            # the per-op path makes), none of the
-                            # per-iteration pending churn of a block
-                            # spill.  An iteration that completes with
-                            # zero walker calls means residency is back,
-                            # so the loop hands the cursor straight back
-                            # to the closed form.
-                            blk0, base0, stride0 = lanes[0]
-                            if len(lanes) == 1 and not blk0.has_local:
-                                k_hi = k0 + PHASE_SPILL_CHUNK
-                                if k_hi > count:
-                                    k_hi = count
-                                ops_seq = blk0.ops
-                                n_ops = len(ops_seq)
-                                # Same cold-probe economics as the block
-                                # arm: a never-resident stream pays the
-                                # inline L1 probe *and* the walker on
-                                # every line.  Once a full chunk walks
-                                # with zero hits, later dispatches skip
-                                # the probe and drive the walker directly
-                                # (walker-served hits fold into the same
-                                # counters, so stats cannot diverge).
-                                pid = id(ph)
-                                skip = verdicts.get(pid, 0)
-                                if skip:
-                                    verdicts[pid] = skip - 1
-                                    probe = False
-                                    hits0 = -1
-                                else:
-                                    probe = True
-                                    hits0 = loads_hit + stores_hit
-                                k = k0
-                                yielded = False
-                                while k < k_hi:
-                                    delta = base0 + k * stride0
-                                    missed = False
-                                    index = 0
-                                    while index < n_ops:
-                                        bop = ops_seq[index]
-                                        index += 1
-                                        bkind = bop[0]
-                                        if bkind == "ld":
-                                            _, addr, nbytes, accesses = bop
-                                            addr += delta
-                                            issue = accesses * cycle_fs
-                                            now += issue
-                                            useful += issue
-                                            instructions += accesses
-                                            word_accesses += accesses
-                                            line = addr >> line_shift
-                                            last = ((addr + nbytes - 1)
-                                                    >> line_shift)
-                                            while True:
-                                                if probe:
-                                                    cache_set = l1_sets[
-                                                        line & l1_mask]
-                                                    entry = cache_set.get(
-                                                        line)
-                                                else:
-                                                    entry = None
-                                                if (entry is not None
-                                                        and entry.ready_fs
-                                                        <= now
-                                                        and not
-                                                        entry.prefetched):
-                                                    cache_set.move_to_end(
-                                                        line)
-                                                    loads_hit += 1
-                                                else:
-                                                    missed = True
-                                                    done = load_line(
-                                                        core_id, line, now)
-                                                    if done > now:
-                                                        load_stall += (
-                                                            done - now)
-                                                        now = done
-                                                if line == last:
-                                                    break
-                                                line += 1
-                                        elif bkind == "c":
-                                            (_, cycles, op_instructions,
-                                             l1_accesses) = bop
-                                            cost = cycles * cycle_fs
-                                            now += cost
-                                            useful += cost
-                                            instructions += op_instructions
-                                            word_accesses += l1_accesses
-                                        else:  # st / pfs
-                                            _, addr, nbytes, accesses = bop
-                                            addr += delta
-                                            issue = accesses * cycle_fs
-                                            now += issue
-                                            useful += issue
-                                            instructions += accesses
-                                            word_accesses += accesses
-                                            no_allocate = bkind == "pfs"
-                                            line = addr >> line_shift
-                                            last = ((addr + nbytes - 1)
-                                                    >> line_shift)
-                                            while True:
-                                                if probe:
-                                                    cache_set = l1_sets[
-                                                        line & l1_mask]
-                                                    entry = cache_set.get(
-                                                        line)
-                                                else:
-                                                    entry = None
-                                                if (entry is not None
-                                                        and entry.state
-                                                        is not shared):
-                                                    cache_set.move_to_end(
-                                                        line)
-                                                    entry.state = modified
-                                                    entry.prefetched = False
-                                                    stores_hit += 1
-                                                else:
-                                                    missed = True
-                                                    stall = store_line(
-                                                        core_id, line, now,
-                                                        no_allocate=
-                                                        no_allocate)
-                                                    if stall:
-                                                        store_stall += stall
-                                                        now += stall
-                                                if line == last:
-                                                    break
-                                                line += 1
-                                        if now >= limit:
-                                            next_fs = peek_time()
-                                            if (next_fs is None
-                                                    or next_fs > now):
-                                                limit = now + quantum_fs
-                                                continue
-                                            yielded = True
-                                            break
-                                    if yielded:
-                                        if index == n_ops:
-                                            phase_retired += 1
-                                            k += 1
-                                            if k < count:
-                                                pending.append(
-                                                    ("ph", ph, k))
-                                        else:
-                                            if k + 1 < count:
-                                                pending.append(
-                                                    ("ph", ph, k + 1))
-                                            pending.append(
-                                                ("blk", blk0, delta, index))
-                                        break
-                                    phase_retired += 1
-                                    k += 1
-                                    if not missed:
-                                        # Fully hit: the stream is
-                                        # resident again; let the closed
-                                        # form take over.
-                                        break
-                                if (hits0 >= 0 and not yielded
-                                        and loads_hit + stores_hit
-                                        == hits0):
-                                    verdicts[pid] = BLK_COLD_SKIP
-                                if yielded:
-                                    action = YIELD
-                                    break
-                                if k < count:
-                                    pending.append(("ph", ph, k))
-                                continue
-                            # Multi-lane or local-store phase: replay a
-                            # bounded chunk through the block
-                            # interpreter, which reproduces the miss —
-                            # stalls, walker calls, evictions — bit for
-                            # bit, then resume the phase.  A whole chunk
-                            # (not a single iteration) spills because a
-                            # non-resident line usually means a streaming
-                            # access pattern where the *next* iterations
-                            # miss too; re-proving the slice per miss
-                            # would cost a gate + scan per iteration.
-                            k_hi = k0 + PHASE_SPILL_CHUNK
-                            if k_hi < count:
-                                pending.append(("ph", ph, k_hi))
-                            else:
-                                k_hi = count
-                            for k in range(k_hi - 1, k0 - 1, -1):
-                                for blk, base, stride in reversed(lanes):
-                                    pending.append(
-                                        ("blk", blk, base + k * stride))
+                            # still blocks and a chunk spills).
+                            if k0 < count:
+                                pending.append(("ph", ph, k0))
+                            continue
+                    # One spill path for an ineligible phase, a
+                    # schedule-gated slice, and a residency failure at
+                    # iteration k0: replay a chunk through the block
+                    # interpreter, which reproduces every miss — stalls,
+                    # walker calls, evictions — bit for bit, then resume
+                    # the phase.  A whole chunk (not a single iteration)
+                    # spills because a non-resident line usually means a
+                    # streaming access pattern where the *next*
+                    # iterations miss too, and a blocked schedule stays
+                    # blocked for a while in barrier-lockstep runs.
+                    k_hi = k0 + SPILL_CHUNK
+                    if k_hi < count:
+                        pending.append(("ph", ph, k_hi))
+                    else:
+                        k_hi = count
+                    pending.extend(reversed(ph.replays(k0, k_hi)))
                     continue
 
                 elif kind == "strm":
-                    # Stream arm (see repro.core.ops.OpStream): interpret
-                    # the per-iteration step list of a double-buffered
-                    # DMA loop directly — same primitives as the dget /
-                    # dput / dwait / lsst arms below, bit for bit, but no
-                    # generator round trips and no per-op tuple traffic.
-                    # Kernel steps detour through the block arm (closed
-                    # form when resident) via a resume cursor.
+                    # Stream (see repro.core.ops.OpStream): materialize a
+                    # bounded chunk back into the plain per-op DMA stream,
+                    # handled by the ordinary dispatch arms (the DMA
+                    # engine's own fast tiers serve its commands).  A
+                    # 3-tuple is a resume cursor; the total is counted
+                    # once, at first dispatch.
                     st = op[1]
-                    # A 4-tuple is a resume cursor: re-enter at iteration
-                    # k, step index si.  The mode-independent total is
-                    # counted once, at first dispatch.
-                    if len(op) == 4:
+                    if len(op) == 3:
                         k = op[2]
-                        si = op[3]
                     else:
                         k = 0
-                        si = 0
                         stream_total += st.count
-                    count = st.count
-                    if not fastpath:
-                        # Reference mode: materialize a bounded chunk
-                        # back into the plain per-op DMA stream, handled
-                        # by the ordinary dispatch arms.
-                        k_hi = k + STREAM_SPILL_CHUNK
-                        if k_hi < count:
-                            pending.append(("strm", st, k_hi, 0))
-                        else:
-                            k_hi = count
-                        pending.extend(reversed(st.materialize(k, k_hi)))
-                        continue
-                    steps = st.steps
-                    n_steps = len(steps)
-                    # How the step loop was left: 0 = stream complete,
-                    # 1 = quantum yield (remainder spilled), 2 = kernel
-                    # detour (cursor + block pushed on pending).
-                    leave = 0
-                    while True:
-                        if si == n_steps:
-                            si = 0
-                            k += 1
-                            stream_retired += 1
-                            if k == count:
-                                break
-                        step = steps[si]
-                        si += 1
-                        skind = step[0]
-                        # Set to the current step's unexecuted remainder
-                        # (possibly empty) when the quantum expires and
-                        # the renewal fails: the rest of the iteration is
-                        # materialized behind a next-iteration cursor.
-                        part = None
-                        if skind == "dget" or skind == "dput":
-                            _, tag0, alt, ahead, table = step
-                            j = k + ahead
-                            if j >= count:
-                                continue
-                            tag = tag0 + (j & alt)
-                            if dma_engine is None:
-                                raise SimulationError(
-                                    f"core {core_id}: DMA issued on the "
-                                    "cache-coherent model")
-                            issue_cmd = (dma_engine.get if skind == "dget"
-                                         else dma_engine.put)
-                            cmds = table[j]
-                            n_cmds = len(cmds)
-                            ci = 0
-                            while ci < n_cmds:
-                                addr, nbytes = cmds[ci]
-                                ci += 1
-                                now += dma_setup_fs
-                                useful += dma_setup_fs
-                                instructions += dma_setup_cycles
-                                done = issue_cmd(now, addr, nbytes, 0, None)
-                                previous = dma_tags.get(tag, 0)
-                                if done > previous:
-                                    dma_tags[tag] = done
-                                if now >= limit:
-                                    next_fs = peek_time()
-                                    if next_fs is None or next_fs > now:
-                                        limit = now + quantum_fs
-                                        continue
-                                    part = [(skind, tag, a, n, 0, None)
-                                            for a, n in cmds[ci:]]
-                                    break
-                        elif skind == "dwait":
-                            _, tag0, alt, kmin = step
-                            if k < kmin:
-                                continue
-                            done = dma_tags.get(tag0 + (k & alt))
-                            if done is None:
-                                raise SimulationError(
-                                    f"core {core_id}: dwait on tag "
-                                    f"{tag0 + (k & alt)} which never "
-                                    "issued a DMA command")
-                            if done > now:
-                                sync += done - now
-                                now = done
-                            if now >= limit:
-                                next_fs = peek_time()
-                                if next_fs is None or next_fs > now:
-                                    limit = now + quantum_fs
-                                else:
-                                    part = []
-                        elif skind == "lsst":
-                            _, table, nbytes, accesses = step
-                            if local_store is None:
-                                raise SimulationError(
-                                    f"core {core_id}: local-store access "
-                                    "on the cache-coherent model")
-                            local_store.check_range(table[k], nbytes)
-                            local_store.record_write(nbytes, accesses)
-                            issue = accesses * cycle_fs
-                            now += issue
-                            useful += issue
-                            instructions += accesses
-                            local_accesses += accesses
-                            if now >= limit:
-                                next_fs = peek_time()
-                                if next_fs is None or next_fs > now:
-                                    limit = now + quantum_fs
-                                else:
-                                    part = []
-                        else:  # blk: kernel detour through the block arm
-                            pending.append(("strm", st, k, si))
-                            pending.append(("blk", step[1][k], 0))
-                            leave = 2
-                            break
-                        if part is not None:
-                            leave = 1
-                            part.extend(st.materialize(k, k + 1, si))
-                            if k + 1 < count:
-                                pending.append(("strm", st, k + 1, 0))
-                            pending.extend(reversed(part))
-                            break
-                    if leave == 1:
-                        action = YIELD
-                        break
+                    k_hi = k + SPILL_CHUNK
+                    if k_hi < st.count:
+                        pending.append(("strm", st, k_hi))
+                    else:
+                        k_hi = st.count
+                    pending.extend(reversed(st.materialize(k, k_hi)))
                     continue
 
                 elif kind == "blk":
@@ -1016,8 +676,7 @@ class Processor:
                     delta = op[2]
                     # A 4-tuple is a resume cursor spilled by the tight
                     # loop below at a quantum boundary; re-enter at the
-                    # recorded op index (skipping the closed form, whose
-                    # geometry covers only whole blocks).
+                    # recorded op index.
                     start = op[3] if len(op) == 4 else 0
                     if not fastpath or blk.arith_cycles is None:
                         # Reference mode, or a block carrying DMA /
@@ -1025,119 +684,31 @@ class Processor:
                         # stream through the ordinary dispatch arms above.
                         pending.extend(reversed(blk.materialize(delta)))
                         continue
-                    # Per-template verdict (see BLK_COLD_SKIP): positive =
-                    # cold for that many dispatches (a prior full dispatch
-                    # saw zero L1 hits — a streaming-through-memory pass —
-                    # so the closed form cannot succeed and the per-op
-                    # pre-probe only doubles every miss's lookups; skip
-                    # geometry, residency scan, and probes, and let the
-                    # walker serve any hit bit-identically).  Negative =
-                    # hot (a prior full dispatch retired without a single
-                    # walker call, so the closed form is worth its
-                    # geometry).  Zero = unproven: run the probing loop
-                    # and let the outcome classify the template — this
-                    # defers the geometry build past templates that never
-                    # become resident at all.
-                    resident = False
+                    # Per-template cold verdict (see BLK_COLD_SKIP): a
+                    # positive count means a prior full dispatch saw zero
+                    # L1 hits — a streaming-through-memory pass — so the
+                    # per-op pre-probe would only double every miss's
+                    # lookups; skip the probes for that many dispatches
+                    # and let the walker serve any hit bit-identically.
+                    # Zero = unproven: probe, and let the outcome of a
+                    # full dispatch classify the template.
                     bid = id(blk)
                     state = verdicts.get(bid, 0)
                     if state > 0:
                         verdicts[bid] = state - 1
-                    elif (state < 0 and start == 0 and fast_mem
-                          and not (delta & line_mask)):
-                        # Closed form: if every line the block touches is
-                        # a guaranteed inline hit and no foreign event
-                        # intervenes before the block's end, the whole
-                        # block retires arithmetically.  Every condition
-                        # checked here is exactly the condition under
-                        # which the per-op loop below would have taken
-                        # the inline path for every single access.  The
-                        # per-line residency checks run first: they are
-                        # plain dict probes that fail fast on miss-heavy
-                        # streams, gating the costlier queue peek.
-                        geom = blk._geometries.get(line_shift)
-                        if geom is None:
-                            geom = blk.geometry(line_shift)
-                        dl = delta >> line_shift
-                        ok = True
-                        for rel, loaded, fresh, written in geom.checks:
-                            line = rel + dl
-                            entry = l1_sets[line & l1_mask].get(line)
-                            if (entry is None
-                                    or (loaded
-                                        and (entry.ready_fs > now
-                                             or (fresh
-                                                 and entry.prefetched)))
-                                    or (written
-                                        and entry.state is shared)):
-                                ok = False
-                                break
-                        if ok and blk.has_local:
-                            ok = (local_store is not None
-                                  and local_store.observer is None
-                                  and blk.ls_max_end
-                                  <= local_store.capacity_bytes)
-                        # Past this point a failure is the *schedule*
-                        # (a foreign event lands mid-block), not
-                        # residency — the per-op probes below would all
-                        # hit, so the cold verdict must not suppress
-                        # them.
-                        resident = ok
-                        if ok:
-                            end = now + blk.arith_cycles * cycle_fs
-                            if end >= limit:
-                                next_fs = peek_time()
-                                ok = next_fs is None or next_fs > end
-                        if ok:
-                            for rel in geom.stored:
-                                line = rel + dl
-                                entry = l1_sets[line & l1_mask][line]
-                                entry.state = modified
-                                entry.prefetched = False
-                            for rel in geom.lru:
-                                line = rel + dl
-                                l1_sets[line & l1_mask].move_to_end(line)
-                            loads_hit += geom.loads_hit
-                            stores_hit += geom.stores_hit
-                            if blk.has_local:
-                                local_store.reads += blk.ls_reads
-                                local_store.read_accesses += (
-                                    blk.ls_read_accesses)
-                                local_store.writes += blk.ls_writes
-                                local_store.write_accesses += (
-                                    blk.ls_write_accesses)
-                            useful += end - now
-                            instructions += blk.instructions
-                            word_accesses += blk.word_accesses
-                            local_accesses += blk.local_accesses
-                            if end >= limit:
-                                limit = _limit_after_block(
-                                    now, limit, cycle_fs, quantum_fs,
-                                    blk.prefix_cycles)
-                            now = end
-                            continue
-                    # Tight per-op loop: same arms as above, no generator
-                    # round trips.  Only arithmetic opcodes occur here
-                    # (compute / ld / st / pfs / lsld / lsst) — blocks
-                    # with anything else were materialized above.
-                    #
-                    # A schedule-blocked resident dispatch keeps its
-                    # probes (they are guaranteed hits) and neither
-                    # consumes nor records a verdict.
-                    if resident:
-                        probe = fast_mem
-                        hits0 = -1
-                    elif state > 0:
                         probe = False
                         hits0 = -1
                     else:
                         probe = fast_mem
                         hits0 = loads_hit + stores_hit
+                    # Tight per-op loop: same arms as above, no generator
+                    # round trips.  Only arithmetic opcodes occur here
+                    # (compute / ld / st / pfs / lsld / lsst) — blocks
+                    # with anything else were materialized above.
                     ops_seq = blk.ops
                     n_ops = len(ops_seq)
                     index = start
                     yielded = False
-                    missed = False
                     while index < n_ops:
                         bop = ops_seq[index]
                         index += 1
@@ -1165,7 +736,6 @@ class Processor:
                                             break
                                         line += 1
                                         continue
-                                missed = True
                                 done = load_line(core_id, line, now)
                                 if done > now:
                                     load_stall += done - now
@@ -1205,7 +775,6 @@ class Processor:
                                             break
                                         line += 1
                                         continue
-                                missed = True
                                 stall = store_line(core_id, line, now,
                                                    no_allocate=no_allocate)
                                 if stall:
@@ -1239,16 +808,9 @@ class Processor:
                                 pending.append(("blk", blk, delta, index))
                             yielded = True
                             break
-                    if hits0 >= 0 and not yielded and start == 0:
-                        if probe and not missed:
-                            # Not a single walker call: every line was
-                            # served inline (or the block touches no L1
-                            # lines at all — a local-store kernel).  The
-                            # closed form would have retired this
-                            # dispatch whole; promote the template.
-                            verdicts[bid] = -1
-                        elif loads_hit + stores_hit == hits0:
-                            verdicts[bid] = BLK_COLD_SKIP
+                    if (hits0 >= 0 and not yielded and start == 0
+                            and loads_hit + stores_hit == hits0):
+                        verdicts[bid] = BLK_COLD_SKIP
                     if yielded:
                         action = YIELD
                         break
@@ -1389,7 +951,7 @@ class Processor:
                 now, send_value, useful, sync, load_stall, store_stall,
                 instructions, word_accesses, local_accesses, icache_misses,
                 loads_hit, stores_hit, phase_retired, phase_total,
-                stream_retired, stream_total)
+                stream_total)
         if action == FINISH:
             self._finish()
         elif action == YIELD:
@@ -1399,7 +961,7 @@ class Processor:
                       store_stall, instructions, word_accesses,
                       local_accesses, icache_misses, loads_hit,
                       stores_hit, phase_retired, phase_total,
-                      stream_retired, stream_total) -> None:
+                      stream_total) -> None:
         """Fold the hot loop's batched deltas back into the object state."""
         self.now = now
         self._send_value = send_value
@@ -1413,7 +975,6 @@ class Processor:
         self.icache_misses += icache_misses
         self.phase_iters += phase_retired
         self.phase_iters_total += phase_total
-        self.stream_iters += stream_retired
         self.stream_iters_total += stream_total
         if loads_hit or stores_hit:
             self.hierarchy.fold_hit_counters(loads_hit, stores_hit)

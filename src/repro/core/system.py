@@ -152,8 +152,9 @@ class CmpSystem:
             "sim.phase_iters": sum(p.phase_iters for p in self.processors),
             "sim.phase_iters_total": sum(
                 p.phase_iters_total for p in self.processors),
-            "sim.stream_iters": sum(
-                p.stream_iters for p in self.processors),
+            # No engine retires stream iterations; the key stays, at 0,
+            # for readers that index it.
+            "sim.stream_iters": 0,
             "sim.stream_iters_total": sum(
                 p.stream_iters_total for p in self.processors),
         }

@@ -133,9 +133,9 @@ class DramChannel:
         """Absolute time the channel serving ``addr`` drains its calendar.
 
         A request arriving at or after this instant is served with zero
-        queueing delay — the boundary the stream engine's renewal
-        calculus reasons from when it retires double-buffer iterations
-        without replaying each transfer.  With ``addr=None`` (or one
+        queueing delay — the boundary the DMA engine's renewal
+        calculus reasons from when it retires whole commands without
+        replaying each transfer.  With ``addr=None`` (or one
         channel) this is the first channel's tail.
         """
         return self._channel_for(addr).next_free

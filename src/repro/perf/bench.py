@@ -19,9 +19,10 @@ reference mode — and writes a ``BENCH_<rev>.json`` report with, per case:
   closed-form phase arm retired) and **phase_coverage** (the fraction of
   dispatched phase iterations it retired) — so silent de-vectorization
   of a workload shows up in the committed baseline diff, and
-* the stream-engine counters — **stream_iters_retired** and
-  **stream_coverage** — the same guard for the streaming model's
-  double-buffered DMA loops (:class:`~repro.core.ops.OpStream`).
+* **stream_iters_retired** and **stream_coverage**, which read 0: no
+  engine retires :class:`~repro.core.ops.OpStream` iterations (streams
+  materialize in chunks in both modes); the fields stay for report
+  schema stability.
 
 Regression gating compares a fresh report against the committed
 ``BENCH_baseline.json``.  Absolute wall times are not comparable across
@@ -82,8 +83,8 @@ class BenchCase:
 #: under both memory models, single- and multi-core — so a regression in
 #: any layer (inline hit path, quantum extension, resource calendars,
 #: DMA engine) moves at least one case.  The multi-core streaming cases
-#: exercise the block interpreter's local-store closed form together
-#: with the DMA engine's contiguous-command fast branch.  art-cc-c4 and
+#: exercise the block interpreter's local-store kernels together with
+#: the DMA engine's contiguous-command fast branch.  art-cc-c4 and
 #: fem-cc-c4 cover the phase-descriptor dispatch path under barrier
 #: pressure, and bitonic-str-c1 the sort's local-store mapping.
 DEFAULT_CASES: tuple[BenchCase, ...] = (

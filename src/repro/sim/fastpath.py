@@ -18,21 +18,19 @@ modes.
 The same switch gates every descriptor engine layered on top:
 
 * the block interpreter — :class:`repro.core.ops.OpBlock` templates
-  replayed in a tight inner loop, or retired in closed form when every
-  touched line is a guaranteed hit and the event-queue head lies beyond
-  the block;
+  replayed in a tight inner loop without generator round trips;
 * the phase engine — :class:`repro.core.ops.OpPhase` runs of K block
   iterations at a constant address stride, retired in one vectorized
   step while every touched line stays a guaranteed hit;
-* the stream engine — :class:`repro.core.ops.OpStream` DMA
-  double-buffer loops interpreted step by step without generator round
-  trips, with all-L2-hit DMA commands served by a fused renewal loop
-  over the resource calendars.
+* the DMA engine's renewal and fused tiers — all-L2-hit DMA commands
+  (such as those of :class:`repro.core.ops.OpStream` double-buffer
+  loops, which materialize in chunks in both modes) served by a fused
+  renewal loop over the resource calendars.
 
 So there are exactly two modes to keep identical.  With the switch on
 (the default) every engine runs; ``REPRO_FASTPATH=0`` is the reference
-mode — one event per quantum, every block, phase and stream
-materialized back into the plain per-op stream, every DMA granule
+mode — one event per quantum, every block and phase materialized back
+into the plain per-op stream, every DMA granule
 walked through the ordinary resource methods — which is the seed's
 execution model, byte for byte.  Every result field except
 ``stats["sim.*"]`` diagnostics must match across the two.

@@ -3,7 +3,7 @@
 An :class:`~repro.core.ops.OpBlock` is a promise that yielding
 ``template.at(delta)`` means exactly the same thing as yielding the
 plain op tuples one by one with every memory address shifted by
-``delta``.  The block interpreter (tight loop and closed form) is an
+``delta``.  The block interpreter's tight per-op loop is an
 optimization over that meaning, so these tests pin both sides: the
 template/validation API, and full-record bit-identity against the
 ``REPRO_FASTPATH=0`` reference mode, which materializes every block —
@@ -30,6 +30,7 @@ from repro.core.ops import (
     store,
     task_pop,
 )
+from repro.core.processor import BLK_COLD_SKIP
 from repro.core.system import CmpSystem
 from repro.harness.experiments import figure2, figure5
 from repro.harness.runner import Runner
@@ -175,8 +176,8 @@ class TestReplayIdentity:
         assert blocked.l1_misses >= self.ITERS
 
     def test_straddling_a_miss_matches_escape_hatch(self, monkeypatch):
-        # Iteration 0 runs cold (every line misses -> per-op fallback);
-        # later iterations rerun the same lines warm (closed form).  Both
+        # Iteration 0 runs cold (every line misses into the walker);
+        # later iterations rerun the same lines warm (inline hits).  Both
         # paths must agree bit-for-bit with the reference interpreter.
         def thread(env):
             blk = block(compute(20), load(0x1000, 64), compute(10),
@@ -189,6 +190,38 @@ class TestReplayIdentity:
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(thread)
         assert comparable(on) == comparable(off)
+
+    def test_cold_template_replayed_over_resident_lines(self, monkeypatch):
+        # The first dispatch walks never-resident lines with zero inline
+        # hits, so the template turns cold and the next BLK_COLD_SKIP
+        # dispatches skip the inline probe.  Those dispatches replay the
+        # lines the first one filled: the walker must serve the hits
+        # exactly as the probe it replaces would have.
+        def thread(env):
+            blk = block(compute(5), load(0x1000, 64), compute(5),
+                        store(0x2000, 32))
+            for _ in range(BLK_COLD_SKIP + 2):
+                yield blk.at(0)
+
+        monkeypatch.setenv("REPRO_FASTPATH", "1")
+        system = CmpSystem(MachineConfig(num_cores=1).with_model("cc"),
+                           Program("test", [thread]))
+        walked = []
+        load_line = system.hierarchy.load_line
+
+        def spy(core, line, now):
+            walked.append(line)
+            return load_line(core, line, now)
+
+        system.hierarchy.load_line = spy
+        on = system.run()
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        off = run_threads(thread)
+        assert comparable(on) == comparable(off)
+        # Both loaded lines went through the walker on the cold dispatch
+        # and on every skipped-probe replay; the last dispatch probed
+        # again and hit inline.
+        assert len(walked) == 2 * (1 + BLK_COLD_SKIP)
 
     def test_dma_block_matches_escape_hatch(self, monkeypatch):
         # DMA-bearing blocks never take the closed form; they must still

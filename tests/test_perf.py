@@ -38,11 +38,6 @@ class TestBenchCase:
         assert record["slow_events"] >= 3 * record["events"]
         assert record["sim_ops"] > 0
         assert record["exec_time_fs"] > 0
-        # fir dispatches phase descriptors whose lines are never
-        # resident; the miss-stream arm walks them per line and still
-        # retires the iterations at the phase level.
-        assert record["phase_iters_retired"] > 0
-        assert 0.0 < record["phase_coverage"] <= 1.0
 
     def test_phase_counters_populated_for_resident_case(self):
         record = bench_case(BenchCase("bitonic-cc-c1", "bitonic", "cc", 1),

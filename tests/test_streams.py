@@ -1,16 +1,15 @@
-"""The stream engine: descriptors, renewal retirement, and bit-identity.
+"""Op streams: descriptors, chunked materialization, and bit-identity.
 
 An :class:`~repro.core.ops.OpStream` is a promise that yielding the
 stream op means exactly the same thing as yielding the op tuples of
-:meth:`~repro.core.ops.OpStream.materialize` one by one.  The stream
-arm in :mod:`repro.core.processor` — interpreting the per-iteration
-step list of a double-buffered DMA loop without generator round trips,
-retiring whole iterations through the DMA engine's renewal calculus —
-is an optimization over that meaning, so these tests pin both sides:
-the ``stream()`` / ``stream_*`` factory API, and full-record
-bit-identity against the ``REPRO_FASTPATH=0`` reference mode, which
-materializes every stream into plain DMA ops — with ``stats["sim.*"]``
-as the single permitted difference, same as the fast-path contract.
+:meth:`~repro.core.ops.OpStream.materialize` one by one.  The processor
+materializes a stream in bounded chunks in every mode; the fast mode
+then runs the chunk's kernel blocks through the block interpreter and
+its DMA commands through the DMA engine's renewal and fused tiers.
+These tests pin both sides: the ``stream()`` / ``stream_*`` factory
+API, and full-record bit-identity against the ``REPRO_FASTPATH=0``
+reference mode — with ``stats["sim.*"]`` as the single permitted
+difference, same as the fast-path contract.
 """
 
 import pytest
@@ -20,6 +19,7 @@ from repro import run_workload
 from repro.config import DramConfig, MachineConfig
 from repro.core.ops import (
     MAX_STREAM_ITERS,
+    OpBlock,
     block,
     compute,
     dma_get,
@@ -127,30 +127,39 @@ def handwritten_thread(env):
 
 
 class TestFlag:
-    """The stream engine follows ``REPRO_FASTPATH`` and nothing else.
+    """A stream's kernels follow ``REPRO_FASTPATH`` and nothing else.
 
-    Reference mode materializes every stream into plain DMA ops, so
-    none of its iterations retire at the stream level.  Every retired
-    switch is set against the expected outcome, so it cannot select
-    the mode.
+    Every mode materializes a stream into its DMA and kernel ops; the
+    fast mode then interprets each kernel block, and the reference mode
+    materializes it too.  Every retired switch is set against the
+    expected outcome, so it cannot select the mode.
     """
 
-    def retired(self):
-        return run_threads(streamed_thread).stats["sim.stream_iters"]
+    def kernels_materialized(self, monkeypatch):
+        calls = []
+        original = OpBlock.materialize
+
+        def spy(blk, *args):
+            calls.append(blk)
+            return original(blk, *args)
+
+        monkeypatch.setattr(OpBlock, "materialize", spy)
+        run_threads(streamed_thread)
+        return len(calls)
 
     def test_default_on(self, monkeypatch):
         set_switches(monkeypatch, None, "0")
-        assert self.retired() > 0
+        assert self.kernels_materialized(monkeypatch) == 0
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "no", " NO "])
     def test_off_values(self, monkeypatch, value):
         set_switches(monkeypatch, value, "1")
-        assert self.retired() == 0
+        assert self.kernels_materialized(monkeypatch) == COUNT
 
     @pytest.mark.parametrize("value", ["1", "true", "on", "yes", ""])
     def test_on_values(self, monkeypatch, value):
         set_switches(monkeypatch, value, "0")
-        assert self.retired() > 0
+        assert self.kernels_materialized(monkeypatch) == 0
 
 
 GET_TABLE = (((0x1000, LINE),), ((0x1020, LINE),))
@@ -249,15 +258,6 @@ class TestMaterialize:
         assert get_tags == [1, 0, 1]           # tiles 1, 2, 3
         assert put_tags == [2, 3, 2, 3]        # tiles 0, 1, 2, 3
 
-    def test_resume_cursor_skips_leading_steps(self):
-        st = self.make(count=4)
-        whole = st.materialize(1, 3)
-        resumed = st.materialize(1, 3, step0=2)
-        # step0 drops iteration 1's first two steps (the look-ahead get
-        # and the tag-0/1 wait) and nothing else.
-        n_skipped = len(st.materialize(1, 2)) - len(st.materialize(1, 2)[2:])
-        assert resumed == whole[n_skipped:]
-
     def test_footprint_matches_materialized_commands(self):
         st = self.make(count=4)
         gets, puts = st.footprint()
@@ -284,13 +284,10 @@ class TestReplayIdentity:
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(streamed_thread)
         assert comparable(on) == comparable(off)
-        # The arm really did retire on, and really did demote off.
-        assert on.stats["sim.stream_iters"] > 0
-        assert off.stats["sim.stream_iters"] == 0
 
     def test_lsst_step_matches_plain_local_store(self, monkeypatch):
         # The bare local-store step (bitonic's hi-half writeback shape)
-        # through the arm and through the materialized op stream.
+        # in both modes.
         def with_lsst(env):
             loop, in_base, _out, _k, _b = build_loop(env, with_lsst=True)
             yield dma_get(0, in_base, BLOCK_BYTES)
@@ -303,7 +300,6 @@ class TestReplayIdentity:
         monkeypatch.setenv("REPRO_FASTPATH", "0")
         off = run_threads(with_lsst)
         assert comparable(on) == comparable(off)
-        assert on.stats["sim.stream_iters"] > 0
 
 
 class TestQuantumStraddle:
@@ -317,21 +313,14 @@ class TestQuantumStraddle:
     @pytest.mark.parametrize("quantum", [10, 25, 75])
     def test_straddle_mid_double_buffer(self, monkeypatch, quantum):
         # With two cores and a quantum far shorter than one iteration,
-        # the scheduler preempts inside the step list — between the
-        # look-ahead get and the wait, inside the kernel detour, before
-        # the put — so the resume cursor and the spill-the-remainder
-        # path both run.  Every such cut must replay identically.
+        # the scheduler preempts inside an iteration — between the
+        # look-ahead get and the wait, inside the kernel, before the put
+        # — so the block resume cursor runs.  Every such cut must replay
+        # identically.
         on = self.two_core_run(monkeypatch, "1", quantum)
         off = self.two_core_run(monkeypatch, "0", quantum)
         assert comparable(on) == comparable(off)
         assert on.stats["sim.stream_iters_total"] == 2 * COUNT
-
-    def test_straddle_still_counts_every_iteration(self, monkeypatch):
-        # Retired iterations can lag the total (a cut iteration finishes
-        # through the materialized spill), but never exceed it.
-        on = self.two_core_run(monkeypatch, "1", 10)
-        retired = on.stats["sim.stream_iters"]
-        assert 0 <= retired <= on.stats["sim.stream_iters_total"]
 
 
 class TestDwaitContention:
@@ -381,16 +370,10 @@ class TestDwaitContention:
 
 
 class TestCounters:
-    def run_streaming(self, monkeypatch, fastpath, workload="bitonic"):
+    def run_streaming(self, monkeypatch, fastpath):
         # Pinned against an ambient REPRO_FASTPATH=0 (CI slow-path smoke).
         monkeypatch.setenv("REPRO_FASTPATH", fastpath)
-        return run_workload(workload, model="str", cores=1, preset="tiny")
-
-    @pytest.mark.parametrize("workload", ["bitonic", "fir", "fem"])
-    def test_streaming_workloads_retire_streams(self, monkeypatch, workload):
-        result = self.run_streaming(monkeypatch, "1", workload)
-        retired = result.stats["sim.stream_iters"]
-        assert 0 < retired <= result.stats["sim.stream_iters_total"]
+        return run_workload("bitonic", model="str", cores=1, preset="tiny")
 
     def test_total_is_mode_independent(self, monkeypatch):
         # sim.stream_iters_total counts *dispatched* iterations, once
